@@ -1,7 +1,8 @@
 // google-benchmark microbenchmarks of the host-side building blocks:
-// format construction, the simulator's cost walk, and warm plan executes
+// format construction, the simulator's cost walk, warm plan executes
 // through the FormatRegistry -- the arithmetic engine behind the
-// simulated formats next to the real CPU kernels.  These measure actual
+// simulated formats next to the real CPU kernels -- and the CPD-ALS dense
+// kernels (Gram, SPD right-solve).  These measure actual
 // wall time on this machine (unlike the simulated-GPU figures) and are
 // the numbers a downstream user cares about for preprocessing budgets and
 // serving latency.  Execute benches report GF/s with the COO flop
@@ -36,15 +37,18 @@ const std::vector<DenseMatrix>& bench_factors() {
   return f;
 }
 
-/// GF/s of one MTTKRP per iteration (printed as GFLOP=<rate>/s): order x
-/// R flops per nonzero.
-void report_gflops(benchmark::State& state) {
-  const SparseTensor& x = bench_tensor();
-  const double flops = static_cast<double>(x.order()) * kRank *
-                       static_cast<double>(x.nnz());
+/// GF/s (printed as GFLOP=<rate>/s) for `flops` per iteration.
+void set_gflop_rate(benchmark::State& state, double flops) {
   state.counters["GFLOP"] = benchmark::Counter(
       flops * static_cast<double>(state.iterations()) / 1e9,
       benchmark::Counter::kIsRate);
+}
+
+/// GF/s of one MTTKRP per iteration: order x R flops per nonzero.
+void report_gflops(benchmark::State& state) {
+  const SparseTensor& x = bench_tensor();
+  set_gflop_rate(state, static_cast<double>(x.order()) * kRank *
+                            static_cast<double>(x.nnz()));
   state.SetItemsProcessed(state.iterations() * x.nnz());
 }
 
@@ -128,6 +132,41 @@ void BM_MttkrpHicooCpu(benchmark::State& state) {
   report_gflops(state);
 }
 BENCHMARK(BM_MttkrpHicooCpu)->Unit(benchmark::kMillisecond);
+
+/// The CPD-ALS dense work at the enron twin's largest mode (244268 x 32):
+/// the factor's Gram and the right solve against a 32 x 32 SPD V.
+constexpr index_t kDenseRows = 244'268;
+
+const DenseMatrix& dense_factor() {
+  static const DenseMatrix a = [] {
+    DenseMatrix m(kDenseRows, kRank);
+    m.randomize(31, -1.0F, 1.0F);
+    return m;
+  }();
+  return a;
+}
+
+/// Upper triangle only: R(R+1)/2 multiply-adds per row.
+void BM_Gram(benchmark::State& state) {
+  const DenseMatrix& a = dense_factor();
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(gram(a));
+  }
+  set_gflop_rate(state, static_cast<double>(a.rows()) * kRank * (kRank + 1));
+}
+BENCHMARK(BM_Gram)->Unit(benchmark::kMillisecond);
+
+/// Forward and backward substitution: about R^2 multiply-adds per row.
+void BM_SolveSpdRight(benchmark::State& state) {
+  const DenseMatrix& b = dense_factor();
+  DenseMatrix v = gram(b);
+  for (rank_t i = 0; i < kRank; ++i) v(i, i) += 1.0F;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(solve_spd_right(v, b));
+  }
+  set_gflop_rate(state, 2.0 * static_cast<double>(b.rows()) * kRank * kRank);
+}
+BENCHMARK(BM_SolveSpdRight)->Unit(benchmark::kMillisecond);
 
 /// The B-CSF cost walk alone (cache model + SM scheduler, no arithmetic):
 /// what a GPU plan pays once per rank.

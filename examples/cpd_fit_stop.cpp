@@ -1,8 +1,9 @@
-// CPD-ALS converging via the FIT op (DESIGN.md §7): the fit is evaluated
-// each iteration through the plan layer's FIT operation -- the residual
-// inner product <X, Xhat> runs on the SAME built structure as the MTTKRP
-// sweeps -- and iteration stops as soon as the improvement drops below
-// the tolerance, instead of burning a fixed iteration budget.
+// CPD-ALS with fit-based early stopping (DESIGN.md §7): the fit is
+// evaluated each iteration -- its residual inner product <X, Xhat> is
+// contracted from the last mode's MTTKRP output, so it costs no tensor
+// traversal beyond the ALS sweep -- and iteration stops as soon as the
+// improvement drops below the tolerance, instead of burning a fixed
+// iteration budget.
 //
 // The demo decomposes an exactly low-rank tensor (so ALS converges fast
 // and the early stop is obvious), prints the per-iteration fit history,
@@ -41,7 +42,7 @@ int main(int argc, char** argv) {
 
   const CpdResult result = cpd_als(x, opts);
 
-  std::cout << "fit history (evaluated via the FIT op each iteration):\n";
+  std::cout << "fit history (evaluated each iteration):\n";
   for (std::size_t i = 0; i < result.fit_history.size(); ++i) {
     const double fit = result.fit_history[i];
     const double gain = i == 0 ? fit : fit - result.fit_history[i - 1];
@@ -55,7 +56,7 @@ int main(int argc, char** argv) {
             << opts.max_iterations << " allowed iterations, final fit "
             << result.final_fit << "\n"
             << "preprocessing " << result.preprocessing_seconds * 1e3
-            << " ms amortized over MTTKRP sweeps AND fit evaluations\n";
+            << " ms amortized over the MTTKRP sweeps\n";
 
   if (result.iterations >= opts.max_iterations) {
     std::cout << "(no early stop -- tighten --tolerance or raise "

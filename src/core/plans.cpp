@@ -48,10 +48,11 @@ SimReport cpu_report(const std::string& kernel, double seconds, index_t order,
   return r;
 }
 
-/// Every simulated GPU plan: run() is the format's arithmetic engine plus
-/// its cost walk, memoized per rank.  The structure a plan owns is
-/// immutable for its lifetime and the walk is value-independent, so every
-/// GPU key pays the cost model once per (plan, rank) (DESIGN.md §8).
+/// Every simulated GPU plan: run_into() is the format's arithmetic engine
+/// writing into the caller's matrix plus its cost walk, memoized per rank,
+/// and run() is run_into() on a fresh matrix.  The structure a plan owns
+/// is immutable for its lifetime and the walk is value-independent, so
+/// every GPU key pays the cost model once per (plan, rank) (DESIGN.md §8).
 class GpuPlanBase : public TensorOpPlan {
  public:
   GpuPlanBase(std::string format, std::string display, index_t mode,
@@ -60,16 +61,21 @@ class GpuPlanBase : public TensorOpPlan {
         device_(std::move(device)) {}
   bool is_gpu() const override { return true; }
   PlanRunResult run(const std::vector<DenseMatrix>& f) const final {
-    DenseMatrix out = compute(f);  // validates the factors
+    PlanRunResult r;
+    r.report = run_into(f, r.output);
+    return r;
+  }
+  SimReport run_into(const std::vector<DenseMatrix>& f,
+                     DenseMatrix& out) const final {
+    compute(f, out);  // validates the factors
     const rank_t rank = out.cols();
-    SimReport report =
-        memoized_report(&memo_, rank, [&] { return simulate(rank); });
-    return {std::move(out), std::move(report)};
+    return memoized_report(&memo_, rank, [&] { return simulate(rank); });
   }
 
  protected:
   /// The format's arithmetic engine (kernels/engine.hpp).
-  virtual DenseMatrix compute(const std::vector<DenseMatrix>& f) const = 0;
+  virtual void compute(const std::vector<DenseMatrix>& f,
+                       DenseMatrix& out) const = 0;
   /// The format's cost walk (simulate_*_gpu in kernels/mttkrp.hpp).
   virtual SimReport simulate(rank_t rank) const = 0;
 
@@ -95,8 +101,9 @@ class GpuCsfPlan final : public GpuPlanBase {
   }
 
  private:
-  DenseMatrix compute(const std::vector<DenseMatrix>& f) const override {
-    return bcsf_engine(unsplit_, f);
+  void compute(const std::vector<DenseMatrix>& f,
+               DenseMatrix& out) const override {
+    bcsf_engine(unsplit_, f, out);
   }
   SimReport simulate(rank_t rank) const override {
     return simulate_csf_gpu(unsplit_, rank, device_);
@@ -115,8 +122,9 @@ class BcsfPlan final : public GpuPlanBase {
   }
 
  private:
-  DenseMatrix compute(const std::vector<DenseMatrix>& f) const override {
-    return bcsf_engine(bcsf_, f);
+  void compute(const std::vector<DenseMatrix>& f,
+               DenseMatrix& out) const override {
+    bcsf_engine(bcsf_, f, out);
   }
   SimReport simulate(rank_t rank) const override {
     return simulate_bcsf_gpu(bcsf_, rank, device_);
@@ -134,8 +142,9 @@ class CslPlan final : public GpuPlanBase {
   }
 
  private:
-  DenseMatrix compute(const std::vector<DenseMatrix>& f) const override {
-    return csl_engine(csl_, f, device_);
+  void compute(const std::vector<DenseMatrix>& f,
+               DenseMatrix& out) const override {
+    csl_engine(csl_, f, device_, out);
   }
   SimReport simulate(rank_t rank) const override {
     return simulate_csl_gpu(csl_, rank, device_);
@@ -162,8 +171,9 @@ class HbcsfPlan final : public GpuPlanBase {
   }
 
  private:
-  DenseMatrix compute(const std::vector<DenseMatrix>& f) const override {
-    return hbcsf_engine(hb_, f, device_);
+  void compute(const std::vector<DenseMatrix>& f,
+               DenseMatrix& out) const override {
+    hbcsf_engine(hb_, f, device_, out);
   }
   SimReport simulate(rank_t rank) const override {
     return simulate_hbcsf_gpu(hb_, rank, device_);
@@ -188,8 +198,9 @@ class GpuCooPlan final : public GpuPlanBase {
   }
 
  private:
-  DenseMatrix compute(const std::vector<DenseMatrix>& f) const override {
-    return coo_engine(*tensor_, mode(), f);
+  void compute(const std::vector<DenseMatrix>& f,
+               DenseMatrix& out) const override {
+    coo_engine(*tensor_, mode(), f, out);
   }
   SimReport simulate(rank_t rank) const override {
     return simulate_coo_gpu(*tensor_, mode(), rank, device_);
@@ -208,8 +219,9 @@ class FcooPlan final : public GpuPlanBase {
   }
 
  private:
-  DenseMatrix compute(const std::vector<DenseMatrix>& f) const override {
-    return fcoo_engine(fcoo_, f, device_);
+  void compute(const std::vector<DenseMatrix>& f,
+               DenseMatrix& out) const override {
+    fcoo_engine(fcoo_, f, device_, out);
   }
   SimReport simulate(rank_t rank) const override {
     return simulate_fcoo_gpu(fcoo_, rank, device_);
@@ -416,6 +428,10 @@ class AutoPlan final : public TensorOpPlan {
   const AutoDecision& decision() const { return decision_; }
   PlanRunResult run(const std::vector<DenseMatrix>& f) const override {
     return inner_->run(f);
+  }
+  SimReport run_into(const std::vector<DenseMatrix>& f,
+                     DenseMatrix& out) const override {
+    return inner_->run_into(f, out);
   }
   OpResult execute(const OpRequest& req) const override {
     return inner_->execute(req);  // delegate fused paths, not just run()

@@ -5,6 +5,7 @@
 #include <utility>
 
 #include "core/tensor_op_plan.hpp"
+#include "linalg/ops.hpp"
 #include "util/error.hpp"
 
 namespace bcsf {
@@ -46,6 +47,13 @@ void TensorOpPlan::check_request(const OpRequest& request) const {
   }
 }
 
+SimReport TensorOpPlan::run_into(const std::vector<DenseMatrix>& factors,
+                                 DenseMatrix& out) const {
+  PlanRunResult r = run(factors);
+  out = std::move(r.output);
+  return std::move(r.report);
+}
+
 OpResult TensorOpPlan::execute(const OpRequest& request) const {
   check_request(request);
   const std::vector<DenseMatrix>& factors = *request.factors;
@@ -78,20 +86,10 @@ OpResult TensorOpPlan::execute(const OpRequest& request) const {
       // traversal through the plan, then an O(dims[mode] x R) dense
       // contraction in double.
       PlanRunResult r = run(factors);
-      const DenseMatrix& m = r.output;
-      const DenseMatrix& a = factors[mode_];
-      const rank_t rank = m.cols();
-      double inner = 0.0;
-      for (index_t i = 0; i < m.rows(); ++i) {
-        const auto mrow = m.row(i);
-        const auto arow = a.row(i);
-        for (rank_t c = 0; c < rank; ++c) {
-          const double l =
-              request.lambda ? static_cast<double>((*request.lambda)[c]) : 1.0;
-          inner += l * static_cast<double>(mrow[c]) * arow[c];
-        }
-      }
-      result.scalar = inner;
+      const std::vector<value_t> unit_weights;
+      result.scalar = cp_inner_from_mttkrp(
+          r.output, factors[mode_],
+          request.lambda ? *request.lambda : unit_weights);
       result.report = std::move(r.report);
       return result;
     }

@@ -127,6 +127,15 @@ class TensorOpPlan {
   /// number of times; the plan is immutable after construction.
   virtual PlanRunResult run(const std::vector<DenseMatrix>& factors) const = 0;
 
+  /// run() into a caller-owned matrix: `out` ends up dims[mode()] x R
+  /// (resized when its shape differs) holding bitwise run()'s output, and
+  /// the report is returned.  `out` may alias factors[mode()] -- MTTKRP_n
+  /// never reads A_n -- but no other factor.  The simulated GPU plans
+  /// write into `out`'s storage, so a CPD-ALS mode update allocates
+  /// nothing; the base implementation is run() plus a move.
+  virtual SimReport run_into(const std::vector<DenseMatrix>& factors,
+                             DenseMatrix& out) const;
+
   /// Executes any op (DESIGN.md §7).  `request.mode` must equal mode():
   /// a plan's representation is built for one traversal root.  The base
   /// implementation reuses the format's run() traversal -- TTV executes

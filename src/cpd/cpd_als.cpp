@@ -40,8 +40,8 @@ CpdResult cpd_als(TensorPtr tensor, const CpdOptions& options) {
   plan_opts.expected_mttkrp_calls = static_cast<double>(options.max_iterations);
   // Sharded ALS (DESIGN.md §8): wrap the requested backend in the
   // "sharded" meta format, which partitions each mode along itself and
-  // reduces per-shard MTTKRP/FIT runs in double -- exact, and the K
-  // smaller builds replace one monolithic sort per mode.
+  // reduces per-shard MTTKRP runs in double -- exact, and the K smaller
+  // builds replace one monolithic sort per mode.
   std::string format = options.format;
   if (format == "sharded") {
     plan_opts.sharding.shards = options.shards;
@@ -60,42 +60,40 @@ CpdResult cpd_als(TensorPtr tensor, const CpdOptions& options) {
   }
   result.preprocessing_seconds = cache.total_build_seconds();
 
-  auto run_mttkrp = [&](index_t mode) -> DenseMatrix {
-    const TensorOpPlan& plan = *mode_plans[mode];
-    PlanRunResult r = plan.run(result.factors);
-    if (plan.is_gpu()) result.simulated_mttkrp_seconds += r.report.seconds;
-    return std::move(r.output);
-  };
+  // One Gram per factor, refreshed right after that factor's update:
+  // every V and ||Xhat||^2 reuse them, N Grams per iteration in all.
+  std::vector<DenseMatrix> grams;
+  grams.reserve(order);
+  for (const DenseMatrix& a : result.factors) grams.push_back(gram(a));
 
-  // Fit-based early stopping through the FIT op (DESIGN.md §7): the
-  // residual inner product <X, Xhat> -- the only fit piece that walks
-  // the tensor -- runs on the last mode's plan, i.e. on the SAME built
-  // structure the MTTKRP sweeps amortize, instead of an extra raw-COO
-  // pass per iteration.  ||X|| is constant and ||Xhat||^2 is R x R
-  // dense work on the factors.
+  // The fit's residual inner product <X, Xhat> comes from the last mode's
+  // MTTKRP, which the sweep computes anyway: MTTKRP_{N-1} does not read
+  // A_{N-1}, so it equals the MTTKRP of the fully updated model, and the
+  // FIT op's own traversal would repeat it.  Kept here because the solve
+  // overwrites that mode's output.  ||X|| is constant.
   const double x_norm = x.norm();
-  auto evaluate_fit = [&]() -> double {
-    const TensorOpPlan& plan = *mode_plans[order - 1];
-    OpRequest fit_request;
-    fit_request.kind = OpKind::kFit;
-    fit_request.mode = order - 1;
-    fit_request.factors = &result.factors;
-    fit_request.lambda = &result.lambda;
-    OpResult r = plan.execute(fit_request);
-    if (plan.is_gpu()) result.simulated_mttkrp_seconds += r.report.seconds;
-    return cp_fit_from_pieces(
-        x_norm, r.scalar, cp_model_norm_sq(result.factors, result.lambda));
-  };
+  DenseMatrix last_mttkrp;
 
   double prev_fit = 0.0;
   for (unsigned iter = 0; iter < options.max_iterations; ++iter) {
     for (index_t mode = 0; mode < order; ++mode) {
-      const DenseMatrix mk = run_mttkrp(mode);
-      const DenseMatrix v = gram_hadamard_except(result.factors, mode);
-      result.factors[mode] = solve_spd_right(v, mk);
-      result.lambda = normalize_columns(result.factors[mode]);
+      // MTTKRP straight into A_mode, then the solve in place: no
+      // allocation per mode update on the simulated GPU plans.
+      DenseMatrix& a = result.factors[mode];
+      const TensorOpPlan& plan = *mode_plans[mode];
+      const SimReport report = plan.run_into(result.factors, a);
+      if (plan.is_gpu()) result.simulated_mttkrp_seconds += report.seconds;
+      if (mode == order - 1) last_mttkrp = a;
+      solve_spd_right_in_place(hadamard_of_grams(grams, mode, options.rank),
+                               a);
+      result.lambda = normalize_columns(a);
+      grams[mode] = gram(a);
     }
-    const double fit = evaluate_fit();
+    const double fit = cp_fit_from_pieces(
+        x_norm,
+        cp_inner_from_mttkrp(last_mttkrp, result.factors[order - 1],
+                             result.lambda),
+        cp_model_norm_sq_from_grams(grams, result.lambda));
     result.fit_history.push_back(fit);
     result.iterations = iter + 1;
     if (iter > 0 && fit - prev_fit < options.fit_tolerance) break;

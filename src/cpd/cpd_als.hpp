@@ -3,13 +3,20 @@
 //
 // Each iteration updates every factor via
 //   A_n <- MTTKRP_n(X, {A_m}) * (*_{m != n} A_m^T A_m)^dagger
-// then normalizes columns into lambda and evaluates the model fit
-// through the plan layer's FIT op (DESIGN.md §7) -- the residual inner
-// product runs on the same built structure as the MTTKRP sweeps, and
+// then normalizes columns into lambda and evaluates the model fit, and
 // iteration stops early once the fit improvement drops below
 // fit_tolerance instead of always burning max_iterations.  The MTTKRP is
 // the bottleneck the whole paper is about; everything else here is R x R
-// dense work (linalg/).
+// dense work (linalg/), kept small the standard CP-ALS way:
+//   * one Gram A_m^T A_m per factor, recomputed right after that factor's
+//     update; every V above and ||Xhat||^2 reuse the cache (N Grams per
+//     iteration);
+//   * <X, Xhat> is contracted from the last mode's MTTKRP output
+//     (cp_inner_from_mttkrp, the FIT op's own contraction), which the
+//     sweep has already computed, so no extra tensor traversal;
+//   * each mode update writes MTTKRP straight into A_n through the plan's
+//     run_into() and solves in place (the simulated GPU plans allocate
+//     nothing per update).
 //
 // The backend is any format registered in the FormatRegistry ("hbcsf",
 // "cpu-csf", "coo", "auto", ...); plans are built once per (format, mode)
@@ -33,13 +40,13 @@ struct CpdOptions {
   rank_t rank = 16;
   /// Hard cap; the fit-based stop below usually fires first.
   unsigned max_iterations = 25;
-  /// Stop when the fit (evaluated via the plan's FIT op each iteration)
-  /// improves by less than this between iterations.  The FIT op runs
-  /// through the backend's kernel, so for fp32 backends (every format
-  /// except the double-accumulating "reference") the fit carries
-  /// relative noise around 1e-6..1e-5 of ||Xhat||^2 / ||X||^2; keep the
-  /// tolerance above that floor or the stop may fire on noise -- use
-  /// format = "reference" when bitwise-stable fit trajectories matter.
+  /// Stop when the fit improves by less than this between iterations.
+  /// The fit's inner product <X, Xhat> is contracted from the last mode's
+  /// MTTKRP output, an fp32 matrix for every backend, so the fit carries
+  /// relative noise around 1e-6..1e-5 of ||Xhat||^2 / ||X||^2 (less for
+  /// "reference", which accumulates in double and rounds each entry
+  /// once); keep the tolerance above that floor or the stop may fire on
+  /// noise.
   double fit_tolerance = 1e-5;
   std::uint64_t seed = 7;
   /// FormatRegistry key of the MTTKRP backend.  "reference" is the
@@ -49,9 +56,9 @@ struct CpdOptions {
   std::string format = "cpu-csf";
   /// Nnz-balanced shards per mode plan (DESIGN.md §8).  1 = monolithic;
   /// 0 = auto_shard_count pricing; K != 1 wraps `format` in the
-  /// "sharded" meta format, so every MTTKRP/FIT sweep of the ALS loop
-  /// runs as K per-shard runs reduced in double -- exact, because both
-  /// ops are linear in the tensor.
+  /// "sharded" meta format, so every MTTKRP sweep of the ALS loop runs
+  /// as K per-shard runs reduced in double -- exact, because MTTKRP is
+  /// linear in the tensor.
   unsigned shards = 1;
   DeviceModel device = DeviceModel::p100();
 };
@@ -64,7 +71,8 @@ struct CpdResult {
   double final_fit = 0.0;
   /// Format-construction wall time (all modes, from the plan cache).
   double preprocessing_seconds = 0.0;
-  /// Simulated GPU seconds spent in MTTKRP (GPU-format backends only).
+  /// Simulated GPU seconds spent in MTTKRP (GPU-format backends only):
+  /// exactly N MTTKRPs per iteration, the fit adds no traversal.
   double simulated_mttkrp_seconds = 0.0;
   /// Formats actually executed per mode (differs from the requested
   /// format only for "auto", which resolves per mode).

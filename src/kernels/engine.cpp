@@ -136,46 +136,52 @@ void run_singletons(const HbcsfTensor& h, const std::vector<DenseMatrix>& f,
   }
 }
 
+/// Shapes `out` to rows x rank and zeroes it, reusing its storage when the
+/// shape already matches.  Callers validate the factors first: `out` may
+/// alias the root mode's factor, which no engine reads.
+void reset_output(DenseMatrix& out, index_t rows, rank_t rank) {
+  if (out.rows() == rows && out.cols() == rank) {
+    out.fill(0.0F);
+  } else {
+    out = DenseMatrix(rows, rank);
+  }
+}
+
 }  // namespace
 
-DenseMatrix bcsf_engine(const BcsfTensor& bcsf,
-                        const std::vector<DenseMatrix>& factors,
-                        OutputCombine combine) {
+void bcsf_engine(const BcsfTensor& bcsf, const std::vector<DenseMatrix>& factors,
+                 DenseMatrix& out, OutputCombine combine) {
   const CsfTensor& csf = bcsf.csf();
   check_factors(csf.dims(), factors);
-  DenseMatrix out(csf.dims()[csf.root_mode()], factors.front().cols());
+  reset_output(out, csf.dims()[csf.root_mode()], factors.front().cols());
   run_bcsf(bcsf, factors, combine, out);
-  return out;
 }
 
-DenseMatrix csl_engine(const CslTensor& csl,
-                       const std::vector<DenseMatrix>& factors,
-                       const DeviceModel& device) {
+void csl_engine(const CslTensor& csl, const std::vector<DenseMatrix>& factors,
+                const DeviceModel& device, DenseMatrix& out) {
   check_factors(csl.dims(), factors);
-  DenseMatrix out(csl.dims()[csl.root_mode()], factors.front().cols());
+  reset_output(out, csl.dims()[csl.root_mode()], factors.front().cols());
   run_csl(csl, factors, device, out);
-  return out;
 }
 
-DenseMatrix hbcsf_engine(const HbcsfTensor& hbcsf,
-                         const std::vector<DenseMatrix>& factors,
-                         const DeviceModel& device) {
+void hbcsf_engine(const HbcsfTensor& hbcsf,
+                  const std::vector<DenseMatrix>& factors,
+                  const DeviceModel& device, DenseMatrix& out) {
   check_factors(hbcsf.dims(), factors);
-  DenseMatrix out(hbcsf.dims()[hbcsf.root_mode()], factors.front().cols());
+  reset_output(out, hbcsf.dims()[hbcsf.root_mode()], factors.front().cols());
   // A slice lives in exactly one group, so the groups write disjoint rows
   // of one output: no per-group temporaries, no combining pass.
   run_singletons(hbcsf, factors, out);
   run_csl(hbcsf.csl(), factors, device, out);
   run_bcsf(hbcsf.bcsf(), factors, OutputCombine::kPerFiber, out);
-  return out;
 }
 
-DenseMatrix coo_engine(const SparseTensor& tensor, index_t mode,
-                       const std::vector<DenseMatrix>& factors) {
+void coo_engine(const SparseTensor& tensor, index_t mode,
+                const std::vector<DenseMatrix>& factors, DenseMatrix& out) {
   check_factors(tensor.dims(), factors);
   BCSF_CHECK(mode < tensor.order(), "coo_engine: bad mode");
   const rank_t rank = factors.front().cols();
-  DenseMatrix out(tensor.dim(mode), rank);
+  reset_output(out, tensor.dim(mode), rank);
   std::vector<value_t> prod(rank);
   value_t* p = prod.data();
   for (offset_t z = 0; z < tensor.nnz(); ++z) {
@@ -186,17 +192,15 @@ DenseMatrix coo_engine(const SparseTensor& tensor, index_t mode,
     }
     add(row_of(out, tensor.coord(mode, z), rank), p, rank);
   }
-  return out;
 }
 
-DenseMatrix fcoo_engine(const FcooTensor& fcoo,
-                        const std::vector<DenseMatrix>& factors,
-                        const DeviceModel& device) {
+void fcoo_engine(const FcooTensor& fcoo, const std::vector<DenseMatrix>& factors,
+                 const DeviceModel& device, DenseMatrix& out) {
   check_factors(fcoo.dims(), factors);
   const rank_t rank = factors.front().cols();
   const ModeOrder& order = fcoo.mode_order();
   const index_t n_other = fcoo.order() - 1;
-  DenseMatrix out(fcoo.dims()[fcoo.root_mode()], rank);
+  reset_output(out, fcoo.dims()[fcoo.root_mode()], rank);
   std::vector<value_t> prod(rank);
   std::vector<value_t> seg(rank);
   value_t* p = prod.data();
@@ -233,7 +237,6 @@ DenseMatrix fcoo_engine(const FcooTensor& fcoo,
       }
     }
   }
-  return out;
 }
 
 }  // namespace bcsf

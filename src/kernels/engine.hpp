@@ -46,29 +46,32 @@ inline offset_t fcoo_chunk_nnz(const FcooTensor& fcoo,
       1, ceil_div(fcoo.partition_size(), offset_t{device.warps_per_block()}));
 }
 
+// Every engine writes MTTKRP into `out`, shaped to dims[root] x R (reusing
+// its storage when the shape already matches) and zeroed first.  `out`
+// may be the root mode's own factor matrix: MTTKRP_n never reads A_n, and
+// the factors are validated before `out` is touched.
+
 /// B-CSF blocks, fiber segments in order within each block.
-DenseMatrix bcsf_engine(const BcsfTensor& bcsf,
-                        const std::vector<DenseMatrix>& factors,
-                        OutputCombine combine = OutputCombine::kPerFiber);
+void bcsf_engine(const BcsfTensor& bcsf, const std::vector<DenseMatrix>& factors,
+                 DenseMatrix& out,
+                 OutputCombine combine = OutputCombine::kPerFiber);
 
 /// CSL slices, each in warp segments of `device.csl_segment_nnz`
 /// nonzeros.  The engine reads only that work-unit size from `device`.
-DenseMatrix csl_engine(const CslTensor& csl,
-                       const std::vector<DenseMatrix>& factors,
-                       const DeviceModel& device);
+void csl_engine(const CslTensor& csl, const std::vector<DenseMatrix>& factors,
+                const DeviceModel& device, DenseMatrix& out);
 
 /// HB-CSF: the COO, CSL and B-CSF groups, written into one output.
-DenseMatrix hbcsf_engine(const HbcsfTensor& hbcsf,
-                         const std::vector<DenseMatrix>& factors,
-                         const DeviceModel& device);
+void hbcsf_engine(const HbcsfTensor& hbcsf,
+                  const std::vector<DenseMatrix>& factors,
+                  const DeviceModel& device, DenseMatrix& out);
 
 /// ParTI-COO: nonzeros in storage order, sequential.
-DenseMatrix coo_engine(const SparseTensor& tensor, index_t mode,
-                       const std::vector<DenseMatrix>& factors);
+void coo_engine(const SparseTensor& tensor, index_t mode,
+                const std::vector<DenseMatrix>& factors, DenseMatrix& out);
 
 /// F-COO: fcoo_chunk_nnz chunks in order, sequential.
-DenseMatrix fcoo_engine(const FcooTensor& fcoo,
-                        const std::vector<DenseMatrix>& factors,
-                        const DeviceModel& device);
+void fcoo_engine(const FcooTensor& fcoo, const std::vector<DenseMatrix>& factors,
+                 const DeviceModel& device, DenseMatrix& out);
 
 }  // namespace bcsf

@@ -127,7 +127,8 @@ GpuMttkrpResult mttkrp_bcsf_gpu(const BcsfTensor& bcsf,
                                 const std::vector<DenseMatrix>& factors,
                                 const DeviceModel& device,
                                 OutputCombine combine, SimMemo* memo) {
-  DenseMatrix out = bcsf_engine(bcsf, factors, combine);
+  DenseMatrix out;
+  bcsf_engine(bcsf, factors, out, combine);
   const rank_t rank = out.cols();
   SimReport report = memoized_report(memo, rank, [&] {
     return simulate_bcsf_gpu(bcsf, rank, device, combine);

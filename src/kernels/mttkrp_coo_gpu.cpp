@@ -70,7 +70,8 @@ SimReport simulate_coo_gpu(const SparseTensor& tensor, index_t mode,
 GpuMttkrpResult mttkrp_coo_gpu(const SparseTensor& tensor, index_t mode,
                                const std::vector<DenseMatrix>& factors,
                                const DeviceModel& device, SimMemo* memo) {
-  DenseMatrix out = coo_engine(tensor, mode, factors);
+  DenseMatrix out;
+  coo_engine(tensor, mode, factors, out);
   const rank_t rank = out.cols();
   SimReport report = memoized_report(memo, rank, [&] {
     return simulate_coo_gpu(tensor, mode, rank, device);

@@ -14,7 +14,8 @@ GpuMttkrpResult mttkrp_csf_gpu(const CsfTensor& csf,
                                const std::vector<DenseMatrix>& factors,
                                const DeviceModel& device) {
   const BcsfTensor unsplit = build_bcsf_from_csf(csf, BcsfOptions::unsplit());
-  DenseMatrix out = bcsf_engine(unsplit, factors);
+  DenseMatrix out;
+  bcsf_engine(unsplit, factors, out);
   SimReport report = simulate_csf_gpu(unsplit, out.cols(), device);
   return {std::move(out), std::move(report)};
 }

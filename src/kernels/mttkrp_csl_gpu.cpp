@@ -84,7 +84,8 @@ SimReport simulate_csl_gpu(const CslTensor& csl, rank_t rank,
 GpuMttkrpResult mttkrp_csl_gpu(const CslTensor& csl,
                                const std::vector<DenseMatrix>& factors,
                                const DeviceModel& device) {
-  DenseMatrix out = csl_engine(csl, factors, device);
+  DenseMatrix out;
+  csl_engine(csl, factors, device, out);
   SimReport report = simulate_csl_gpu(csl, out.cols(), device);
   return {std::move(out), std::move(report)};
 }

@@ -83,7 +83,8 @@ SimReport simulate_fcoo_gpu(const FcooTensor& fcoo, rank_t rank,
 GpuMttkrpResult mttkrp_fcoo_gpu(const FcooTensor& fcoo,
                                 const std::vector<DenseMatrix>& factors,
                                 const DeviceModel& device) {
-  DenseMatrix out = fcoo_engine(fcoo, factors, device);
+  DenseMatrix out;
+  fcoo_engine(fcoo, factors, device, out);
   SimReport report = simulate_fcoo_gpu(fcoo, out.cols(), device);
   return {std::move(out), std::move(report)};
 }

@@ -96,7 +96,8 @@ SimReport simulate_hbcsf_gpu(const HbcsfTensor& hbcsf, rank_t rank,
 GpuMttkrpResult mttkrp_hbcsf_gpu(const HbcsfTensor& hbcsf,
                                  const std::vector<DenseMatrix>& factors,
                                  const DeviceModel& device) {
-  DenseMatrix out = hbcsf_engine(hbcsf, factors, device);
+  DenseMatrix out;
+  hbcsf_engine(hbcsf, factors, device, out);
   SimReport report = simulate_hbcsf_gpu(hbcsf, out.cols(), device);
   return {std::move(out), std::move(report)};
 }

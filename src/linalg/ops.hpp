@@ -12,11 +12,22 @@
 
 namespace bcsf {
 
-/// gram = A^T A (cols x cols, symmetric).
+/// gram = A^T A (cols x cols, symmetric), accumulated in double and cast
+/// once.  Register- and row-tiled; every entry sums its rows in row order,
+/// so the result is bitwise that of the plain triple loop.
 DenseMatrix gram(const DenseMatrix& a);
 
 /// Elementwise product of two equally-shaped matrices.
 DenseMatrix hadamard(const DenseMatrix& a, const DenseMatrix& b);
+
+/// Hadamard product of precomputed R x R Grams, multiplied in mode order
+/// onto an all-ones matrix, skipping mode `skip` (grams[skip] is not
+/// read; skip >= grams.size() multiplies them all).  The one
+/// Hadamard-of-Grams implementation: cpd_als calls it on its cached
+/// per-factor Grams, gram_hadamard_except and cp_model_norm_sq on fresh
+/// ones.
+DenseMatrix hadamard_of_grams(const std::vector<DenseMatrix>& grams,
+                              index_t skip, rank_t rank);
 
 /// Hadamard product of the Grams of every factor except `skip`:
 /// V = *_{m != skip} (A_m^T A_m)  -- the R x R SPD system of Eq. (3).
@@ -46,6 +57,17 @@ double cp_fit(const SparseTensor& x, const std::vector<DenseMatrix>& factors,
 /// piece (R x R dense work, no tensor traversal).
 double cp_model_norm_sq(const std::vector<DenseMatrix>& factors,
                         const std::vector<value_t>& lambda);
+
+/// cp_model_norm_sq from precomputed Grams, grams[m] = gram(A_m).
+double cp_model_norm_sq_from_grams(const std::vector<DenseMatrix>& grams,
+                                   const std::vector<value_t>& lambda);
+
+/// <X, Xhat> = <MTTKRP_n(X), A_n diag(lambda)>, contracted in double from
+/// an MTTKRP output and the factor A_n of the same mode (empty lambda =
+/// all ones).  The FIT op's generic path (core/tensor_op.cpp) and
+/// cpd_als's fit from its last mode update both call this.
+double cp_inner_from_mttkrp(const DenseMatrix& mttkrp, const DenseMatrix& factor,
+                            const std::vector<value_t>& lambda);
 
 /// Assembles the fit from its three pieces: ||X|| (snapshot constant),
 /// <X, Xhat> (the tensor traversal -- what the FIT op computes through a

@@ -13,13 +13,20 @@
 namespace bcsf {
 
 /// Cholesky factorization V = L L^T (lower triangular, in place on a
-/// copy).  Returns false if V is not positive definite.
+/// copy).  Returns false if V is not positive definite, including when a
+/// pivot is NaN or infinite.
 bool cholesky(const DenseMatrix& v, DenseMatrix& lower);
 
 /// Solves X * V = B for X (i.e. X = B V^{-1}) where V is SPD of size
 /// R x R and B is rows x R.  Falls back to Tikhonov-regularized solves
-/// (V + eps I) with growing eps when V is singular.
+/// (V + eps I) with growing eps when V is singular, and throws Error when
+/// no jitter makes it factor (e.g. V holds a NaN or Inf).
 DenseMatrix solve_spd_right(const DenseMatrix& v, const DenseMatrix& b);
+
+/// solve_spd_right overwriting B with X, with no allocation proportional
+/// to B.  Rows are substituted in row tiles, each row in the scalar
+/// substitution's order, so X is bitwise the one-row-at-a-time solve.
+void solve_spd_right_in_place(const DenseMatrix& v, DenseMatrix& b);
 
 /// Explicit SPD (pseudo-)inverse; used by tests and by callers that want
 /// to reuse the inverse across many right-hand sides.

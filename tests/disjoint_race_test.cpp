@@ -134,6 +134,9 @@ TEST(DisjointRace, ServeReportsReducePathAndOverheadTimings) {
       case OpKind::kFit:
         EXPECT_EQ(r.scalar, fit_inner_reference(x, *factors, lambda.get()));
         break;
+      case OpKind::kStats:
+        ADD_FAILURE() << "kStats never reaches a plan";
+        break;
     }
   }
 

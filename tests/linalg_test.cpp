@@ -2,16 +2,23 @@
 // Khatri-Rao, SPD solves and the sparse CP fit identity.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <limits>
+#include <tuple>
 
+#include "kernels/mttkrp.hpp"
 #include "linalg/dense_matrix.hpp"
 #include "linalg/ops.hpp"
 #include "linalg/spd_solve.hpp"
+#include "serve_test_util.hpp"
 #include "tensor/generator.hpp"
 #include "util/error.hpp"
 
 namespace bcsf {
 namespace {
+
+using serve_test::bitwise_equal;
 
 DenseMatrix from_rows(std::initializer_list<std::initializer_list<value_t>> rows) {
   const auto r = static_cast<index_t>(rows.size());
@@ -156,6 +163,175 @@ TEST(SpdSolve, SingularFallsBackToJitter) {
   const DenseMatrix x = solve_spd_right(v, b);
   EXPECT_TRUE(std::isfinite(x(0, 0)));
   EXPECT_TRUE(std::isfinite(x(0, 1)));
+}
+
+// Scalar oracles for the tiled kernels, bitwise: one Gram entry at a time
+// over rows in order, and one row at a time through Cholesky substitution
+// (with the library's diagonal jitter).
+DenseMatrix scalar_gram(const DenseMatrix& a) {
+  const rank_t r = a.cols();
+  DenseMatrix g(r, r);
+  std::vector<double> acc(static_cast<std::size_t>(r) * r, 0.0);
+  for (index_t row = 0; row < a.rows(); ++row) {
+    const auto ar = a.row(row);
+    for (rank_t i = 0; i < r; ++i) {
+      const double ai = ar[i];
+      for (rank_t j = i; j < r; ++j) {
+        acc[static_cast<std::size_t>(i) * r + j] += ai * ar[j];
+      }
+    }
+  }
+  for (rank_t i = 0; i < r; ++i) {
+    for (rank_t j = i; j < r; ++j) {
+      const auto v = static_cast<value_t>(acc[static_cast<std::size_t>(i) * r + j]);
+      g(i, j) = v;
+      g(j, i) = v;
+    }
+  }
+  return g;
+}
+
+DenseMatrix scalar_solve_spd_right(const DenseMatrix& v, const DenseMatrix& b) {
+  DenseMatrix lower;
+  if (!cholesky(v, lower)) {
+    double scale = 0.0;
+    for (rank_t i = 0; i < v.cols(); ++i) {
+      scale = std::max(scale, std::abs(static_cast<double>(v(i, i))));
+    }
+    if (scale == 0.0) scale = 1.0;
+    bool ok = false;
+    for (double eps = 1e-8; eps <= 1e2 && !ok; eps *= 10.0) {
+      DenseMatrix jittered = v;
+      for (rank_t i = 0; i < v.cols(); ++i) {
+        jittered(i, i) += static_cast<value_t>(eps * scale);
+      }
+      ok = cholesky(jittered, lower);
+    }
+    EXPECT_TRUE(ok);
+  }
+  const rank_t n = v.cols();
+  DenseMatrix x(b.rows(), n);
+  std::vector<double> rhs(n);
+  for (index_t row = 0; row < b.rows(); ++row) {
+    for (rank_t c = 0; c < n; ++c) rhs[c] = b(row, c);
+    for (rank_t i = 0; i < n; ++i) {
+      double sum = rhs[i];
+      for (rank_t k = 0; k < i; ++k) {
+        sum -= static_cast<double>(lower(i, k)) * rhs[k];
+      }
+      rhs[i] = sum / lower(i, i);
+    }
+    for (rank_t ii = n; ii-- > 0;) {
+      double sum = rhs[ii];
+      for (rank_t k = ii + 1; k < n; ++k) {
+        sum -= static_cast<double>(lower(k, ii)) * rhs[k];
+      }
+      rhs[ii] = sum / lower(ii, ii);
+    }
+    for (rank_t c = 0; c < n; ++c) x(row, c) = static_cast<value_t>(rhs[c]);
+  }
+  return x;
+}
+
+// Row counts straddle the solve's 16-row tile; ranks straddle the Gram's
+// 4-wide register tile and the enron workload's rank 32.
+constexpr index_t kTileRows[] = {1, 15, 16, 17, 1000};
+constexpr rank_t kTileRanks[] = {1, 3, 8, 17, 32, 33};
+
+/// A well-conditioned SPD matrix: the Gram of a random tall matrix plus a
+/// unit diagonal.
+DenseMatrix random_spd(rank_t n, std::uint64_t seed) {
+  DenseMatrix a(3 * n + 5, n);
+  a.randomize(seed, -1.0F, 1.0F);
+  DenseMatrix v = gram(a);
+  for (rank_t i = 0; i < n; ++i) v(i, i) += 1.0F;
+  return v;
+}
+
+TEST(Ops, TiledGramMatchesScalarLoopBitwise) {
+  std::uint64_t seed = 100;
+  for (index_t rows : kTileRows) {
+    for (rank_t rank : kTileRanks) {
+      DenseMatrix a(rows, rank);
+      a.randomize(++seed, -1.0F, 1.0F);
+      EXPECT_TRUE(bitwise_equal(gram(a), scalar_gram(a)))
+          << rows << " x " << rank;
+    }
+  }
+}
+
+TEST(SpdSolve, TiledSolveMatchesScalarLoopBitwise) {
+  std::uint64_t seed = 200;
+  for (index_t rows : kTileRows) {
+    for (rank_t rank : kTileRanks) {
+      const DenseMatrix v = random_spd(rank, ++seed);
+      DenseMatrix b(rows, rank);
+      b.randomize(++seed, -2.0F, 2.0F);
+      const DenseMatrix x = solve_spd_right(v, b);
+      EXPECT_TRUE(bitwise_equal(x, scalar_solve_spd_right(v, b)))
+          << rows << " x " << rank;
+      DenseMatrix in_place = b;
+      solve_spd_right_in_place(v, in_place);
+      EXPECT_TRUE(bitwise_equal(in_place, x)) << rows << " x " << rank;
+    }
+  }
+}
+
+TEST(SpdSolve, TiledSolveMatchesScalarLoopOnJitterPath) {
+  std::uint64_t seed = 300;
+  for (rank_t rank : {3u, 17u, 33u}) {
+    // A zero column makes V singular, so plain Cholesky fails and the
+    // solve must regularize.
+    DenseMatrix a(2 * rank + 3, rank);
+    a.randomize(++seed, -1.0F, 1.0F);
+    for (index_t row = 0; row < a.rows(); ++row) a(row, rank / 2) = 0.0F;
+    const DenseMatrix v = gram(a);
+    DenseMatrix lower;
+    ASSERT_FALSE(cholesky(v, lower));
+    DenseMatrix b(17, rank);
+    b.randomize(++seed, -1.0F, 1.0F);
+    const DenseMatrix x = solve_spd_right(v, b);
+    EXPECT_TRUE(bitwise_equal(x, scalar_solve_spd_right(v, b))) << rank;
+    DenseMatrix in_place = b;
+    solve_spd_right_in_place(v, in_place);
+    EXPECT_TRUE(bitwise_equal(in_place, x)) << rank;
+  }
+}
+
+TEST(SpdSolve, NonFinitePivotThrowsInsteadOfReturningNan) {
+  const DenseMatrix b = from_rows({{1, 2, 3}, {4, 5, 6}});
+  const value_t nan = std::numeric_limits<value_t>::quiet_NaN();
+  const value_t inf = std::numeric_limits<value_t>::infinity();
+  // One NaN on the diagonal, one below it (the triangle Cholesky reads),
+  // and one infinite diagonal: no jitter can make these factor.
+  for (const auto& [i, j, bad] :
+       {std::tuple{1u, 1u, nan}, std::tuple{2u, 0u, nan},
+        std::tuple{0u, 0u, inf}}) {
+    DenseMatrix v = random_spd(3, 400);
+    v(i, j) = bad;
+    DenseMatrix lower;
+    EXPECT_FALSE(cholesky(v, lower)) << i << "," << j;
+    EXPECT_THROW((void)solve_spd_right(v, b), Error) << i << "," << j;
+  }
+}
+
+TEST(Fit, InnerFromMttkrpMatchesDirectInnerProduct) {
+  const SparseTensor x = generate_uniform({9, 8, 7}, 150, 12);
+  std::vector<DenseMatrix> factors;
+  for (index_t m = 0; m < 3; ++m) {
+    DenseMatrix f(x.dim(m), 4);
+    f.randomize(60 + m, -1.0F, 1.0F);
+    factors.push_back(std::move(f));
+  }
+  const std::vector<value_t> lambda = {1.0F, 2.0F, 0.5F, 3.0F};
+  for (index_t mode = 0; mode < 3; ++mode) {
+    const DenseMatrix m = mttkrp_reference(x, mode, factors);
+    const double want = cp_inner_product(x, factors, lambda);
+    EXPECT_NEAR(cp_inner_from_mttkrp(m, factors[mode], lambda), want,
+                1e-5 * std::abs(want));
+  }
+  EXPECT_THROW((void)cp_inner_from_mttkrp(DenseMatrix(9, 4), factors[1], lambda),
+               Error);
 }
 
 TEST(Fit, ExactModelHasFitOne) {

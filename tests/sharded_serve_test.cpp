@@ -72,6 +72,9 @@ struct Fixture {
         EXPECT_EQ(response.scalar,
                   fit_inner_reference(state, *factors, lambda.get()));
         break;
+      case OpKind::kStats:
+        ADD_FAILURE() << "kStats never reaches a plan";
+        break;
     }
   }
 };
@@ -210,6 +213,9 @@ TEST(ShardedServe, RacingQueriesObserveAtomicShardUpdates) {
           matches_after = response.scalar == ra;
           break;
         }
+        case OpKind::kStats:
+          ADD_FAILURE() << "kStats never reaches a plan";
+          break;
       }
       EXPECT_TRUE(matches_before || matches_after)
           << "round " << round << ": response at version "

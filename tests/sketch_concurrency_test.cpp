@@ -41,8 +41,12 @@ TEST(SketchConcurrency, ReadersRaceAppliersAndCompactions) {
       writers_done.fetch_add(1);
     } else if (i < kWriters + kReaders) {
       while (writers_done.load() < kWriters) {
-        const TensorSketch merged = dyn.sketch();
+        // Base first: base nnz only grows (each compaction's base holds
+        // the previous one), and merged >= base at every instant, so a
+        // later merged read bounds an earlier base read.  The reverse
+        // order lets a compaction land between the reads and flake.
         const TensorSketch base = dyn.base_sketch();
+        const TensorSketch merged = dyn.sketch();
         const SketchScalars scalars = dyn.sketch_scalars();
         // Internal consistency of each observation: the merged sketch
         // never shrinks below the base, every mode agrees on nnz, and
