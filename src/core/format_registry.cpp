@@ -1,6 +1,8 @@
 #include "core/format_registry.hpp"
 
+#include <optional>
 #include <sstream>
+#include <utility>
 
 #include "util/error.hpp"
 #include "util/timer.hpp"
@@ -51,6 +53,19 @@ bool FormatRegistry::supports(const std::string& name, OpKind op) const {
 PlanPtr FormatRegistry::create(const std::string& name,
                                const SparseTensor& tensor, index_t mode,
                                const PlanOptions& opts) const {
+  return build(name, tensor, mode, opts, std::nullopt);
+}
+
+PlanPtr FormatRegistry::create(const std::string& name,
+                               const SparseTensor& tensor, index_t mode,
+                               const PlanOptions& opts, offset_vec perm) const {
+  return build(name, tensor, mode, opts, std::move(perm));
+}
+
+PlanPtr FormatRegistry::build(const std::string& name,
+                              const SparseTensor& tensor, index_t mode,
+                              const PlanOptions& opts,
+                              std::optional<offset_vec> perm) const {
   const Entry& entry = at(name);
   BCSF_CHECK(mode < tensor.order(), "FormatRegistry: mode " << mode
                                         << " out of range for order "
@@ -58,8 +73,12 @@ PlanPtr FormatRegistry::create(const std::string& name,
   BCSF_CHECK((entry.ops & op_bit(opts.op)) != 0,
              "FormatRegistry: format '" << name << "' does not support op '"
                                         << op_name(opts.op) << "'");
+  const bool sorted = perm.has_value() && entry.sorted_factory;
+  if (!sorted) perm.reset();  // freed before the build, not during it
   Timer timer;
-  PlanPtr plan = entry.factory(tensor, mode, opts);
+  PlanPtr plan = sorted
+                     ? entry.sorted_factory(tensor, mode, opts, std::move(*perm))
+                     : entry.factory(tensor, mode, opts);
   BCSF_CHECK(plan != nullptr,
              "FormatRegistry: factory for '" << name << "' returned null");
   // For meta plans (auto) this covers the decision plus the delegate's

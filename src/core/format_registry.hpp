@@ -19,6 +19,7 @@
 
 #include <functional>
 #include <map>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -37,6 +38,11 @@ class FormatRegistry {
  public:
   using Factory = std::function<PlanPtr(
       const SparseTensor& tensor, index_t mode, const PlanOptions& opts)>;
+  /// A Factory that also takes over `perm`, a permutation sorting the
+  /// nonzeros by mode_order_for(mode, order), instead of sorting again.
+  using SortedFactory =
+      std::function<PlanPtr(const SparseTensor& tensor, index_t mode,
+                            const PlanOptions& opts, offset_vec perm)>;
 
   struct Entry {
     std::string name;          ///< registry key, e.g. "hbcsf"
@@ -53,6 +59,9 @@ class FormatRegistry {
     /// through any format's MTTKRP traversal.  A future format with a
     /// restricted kernel set narrows this and create() refuses early.
     unsigned ops = kAllOpsMask;
+    /// Optional: the build from a caller's sort permutation, for formats
+    /// that read the nonzeros in that order.  Empty for the others.
+    SortedFactory sorted_factory = nullptr;
   };
 
   /// The process-wide registry with all built-in formats registered.
@@ -76,6 +85,12 @@ class FormatRegistry {
   /// does not have).
   PlanPtr create(const std::string& name, const SparseTensor& tensor,
                  index_t mode, const PlanOptions& opts = {}) const;
+  /// create() for a caller already holding `perm`, a permutation sorting
+  /// the nonzeros by mode_order_for(mode, order) (the "auto" plan sorts
+  /// once for its statistics): an entry with a sorted_factory takes it
+  /// over; any other entry frees it first and builds as above.
+  PlanPtr create(const std::string& name, const SparseTensor& tensor,
+                 index_t mode, const PlanOptions& opts, offset_vec perm) const;
 
   /// Registered names, sorted; optionally restricted to one kind or to
   /// formats supporting one op.
@@ -85,6 +100,9 @@ class FormatRegistry {
 
  private:
   FormatRegistry() = default;
+  PlanPtr build(const std::string& name, const SparseTensor& tensor,
+                index_t mode, const PlanOptions& opts,
+                std::optional<offset_vec> perm) const;
   std::map<std::string, Entry> entries_;
 };
 

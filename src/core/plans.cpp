@@ -22,6 +22,7 @@
 #include "kernels/mttkrp.hpp"
 #include "kernels/splatt.hpp"
 #include "kernels/ttv_fit.hpp"
+#include "tensor/tensor_stats.hpp"
 #include "util/timer.hpp"
 
 namespace bcsf {
@@ -117,6 +118,10 @@ class BcsfPlan final : public GpuPlanBase {
   BcsfPlan(const SparseTensor& t, index_t mode, const PlanOptions& o)
       : GpuPlanBase("bcsf", "B-CSF", mode, o.device),
         bcsf_(build_bcsf(t, mode, o.bcsf)) {}
+  BcsfPlan(const SparseTensor& t, index_t mode, const PlanOptions& o,
+           offset_vec perm)
+      : GpuPlanBase("bcsf", "B-CSF", mode, o.device),
+        bcsf_(build_bcsf(t, mode, std::move(perm), o.bcsf)) {}
   std::size_t storage_bytes() const override {
     return bcsf_.index_storage_bytes();
   }
@@ -137,6 +142,10 @@ class CslPlan final : public GpuPlanBase {
  public:
   CslPlan(const SparseTensor& t, index_t mode, const PlanOptions& o)
       : GpuPlanBase("csl", "CSL", mode, o.device), csl_(build_csl(t, mode)) {}
+  CslPlan(const SparseTensor& t, index_t mode, const PlanOptions& o,
+          offset_vec perm)
+      : GpuPlanBase("csl", "CSL", mode, o.device),
+        csl_(build_csl(t, mode, std::move(perm))) {}
   std::size_t storage_bytes() const override {
     return csl_.index_storage_bytes();
   }
@@ -158,6 +167,10 @@ class HbcsfPlan final : public GpuPlanBase {
   HbcsfPlan(const SparseTensor& t, index_t mode, const PlanOptions& o)
       : GpuPlanBase("hbcsf", "HB-CSF", mode, o.device),
         hb_(build_hbcsf(t, mode, o.bcsf)) {}
+  HbcsfPlan(const SparseTensor& t, index_t mode, const PlanOptions& o,
+            offset_vec perm)
+      : GpuPlanBase("hbcsf", "HB-CSF", mode, o.device),
+        hb_(build_hbcsf(t, mode, std::move(perm), o.bcsf)) {}
   std::size_t storage_bytes() const override {
     return hb_.index_storage_bytes();
   }
@@ -414,8 +427,11 @@ class AutoPlan final : public TensorOpPlan {
     // Op-aware resolution: a TTV-dominated workload amortizes builds ~R x
     // slower, so "auto" may pick COO where full-rank traffic picks B-CSF.
     policy.op = o.op;
-    decision_ = auto_select_format(t, mode, policy);
-    inner_ = FormatRegistry::instance().create(decision_.format, t, mode, o);
+    // One sort serves both the statistics and the chosen format's build.
+    offset_vec perm = t.sort_permutation(mode_order_for(mode, t.order()));
+    decision_ = auto_select_format(compute_mode_stats(t, mode, perm), policy);
+    inner_ = FormatRegistry::instance().create(decision_.format, t, mode, o,
+                                               std::move(perm));
   }
   bool is_gpu() const override { return inner_->is_gpu(); }
   const std::string& resolved_format() const override {
@@ -453,6 +469,14 @@ FormatRegistry::Factory make() {
   };
 }
 
+template <typename Plan>
+FormatRegistry::SortedFactory make_sorted() {
+  return [](const SparseTensor& t, index_t mode, const PlanOptions& o,
+            offset_vec perm) {
+    return PlanPtr(new Plan(t, mode, o, std::move(perm)));
+  };
+}
+
 using E = FormatRegistry::Entry;
 
 FormatRegistrar r_gpu_csf{
@@ -460,13 +484,16 @@ FormatRegistrar r_gpu_csf{
      PlanKind::kGpu, true, make<GpuCsfPlan>()}};
 FormatRegistrar r_bcsf{
     {"bcsf", "B-CSF", "balanced CSF with fbr-/slc-split (§IV)",
-     PlanKind::kGpu, true, make<BcsfPlan>()}};
+     PlanKind::kGpu, true, make<BcsfPlan>(), kAllOpsMask,
+     make_sorted<BcsfPlan>()}};
 FormatRegistrar r_csl{
     {"csl", "CSL", "compressed slices, one warp per slice (§V-A)",
-     PlanKind::kGpu, true, make<CslPlan>()}};
+     PlanKind::kGpu, true, make<CslPlan>(), kAllOpsMask,
+     make_sorted<CslPlan>()}};
 FormatRegistrar r_hbcsf{
     {"hbcsf", "HB-CSF", "hybrid COO+CSL+B-CSF slice routing (§V)",
-     PlanKind::kGpu, true, make<HbcsfPlan>()}};
+     PlanKind::kGpu, true, make<HbcsfPlan>(), kAllOpsMask,
+     make_sorted<HbcsfPlan>()}};
 FormatRegistrar r_coo{
     {"coo", "ParTI-COO", "thread per nonzero, global atomics [18]",
      PlanKind::kGpu, false, make<GpuCooPlan>()}};

@@ -193,8 +193,8 @@ OpResult ShardedPlan::execute_merge(const OpRequest& request) const {
         // Arena-leased promote: the buffer comes back from reuse with
         // stale contents and is fully overwritten here.
         const auto data = r.output.data();
-        partial.acc = arena_.acquire(data.size());
-        std::copy(data.begin(), data.end(), partial.acc.begin());
+        partial.acc = ScratchLease(arena_, data.size());
+        std::copy(data.begin(), data.end(), partial.acc.get().begin());
       }
     });
   }
@@ -225,10 +225,11 @@ OpResult ShardedPlan::execute_merge(const OpRequest& request) const {
         request.kind == OpKind::kTtv ? 1 : request.factors->front().cols();
     std::vector<std::span<const double>> accs;
     accs.reserve(k);
-    for (const Partial& partial : partials) accs.emplace_back(partial.acc);
+    for (const Partial& partial : partials) {
+      accs.emplace_back(partial.acc.get());
+    }
     result.output =
         reduce_shard_partials(partition_->dims[mode()], rank, accs);
-    for (Partial& partial : partials) arena_.release(std::move(partial.acc));
   }
   finish_report(result, wall);
   return result;

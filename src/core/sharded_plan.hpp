@@ -86,13 +86,17 @@ class ShardedPlan final : public TensorOpPlan {
   /// spreads across the pool; build_seconds() on this plan is the wall
   /// time the registry measured around the whole (parallel) construction.
   double shard_build_seconds() const;
+  /// Scratch buffers parked on the arena freelist.  Tests assert that
+  /// every merge-path lease comes back, a shard that throws included.
+  std::size_t scratch_pooled() const { return arena_.pooled(); }
 
  private:
   /// One shard's double-precision partial for a matrix-valued op.  The
-  /// acc buffer is LEASED from arena_ per call and returned after the
-  /// reduce -- steady-state execution allocates nothing.
+  /// acc buffer is LEASED from arena_ per call and returns to it when the
+  /// partial dies -- after the reduce, or when a sibling shard threw --
+  /// so steady-state execution allocates nothing.
   struct Partial {
-    std::vector<double> acc;
+    ScratchLease acc;
     double scalar = 0.0;
     SimReport report;
   };

@@ -1,20 +1,22 @@
 #include "formats/bcsf.hpp"
 
+#include <algorithm>
 #include <sstream>
+#include <utility>
 
 #include "util/error.hpp"
 
 namespace bcsf {
 
 /// Friend of both CsfTensor and BcsfTensor; performs the two splitting
-/// passes.
+/// passes on the tree it takes over.
 class BcsfBuilder {
  public:
-  static BcsfTensor build(const CsfTensor& csf, const BcsfOptions& opts) {
+  static BcsfTensor build(CsfTensor csf, const BcsfOptions& opts) {
     BcsfTensor out;
     out.opts_ = opts;
-    out.csf_ = csf;
-    if (opts.fiber_split && csf.order() >= 3) {
+    out.csf_ = std::move(csf);
+    if (opts.fiber_split && out.csf_.order() >= 3) {
       split_fibers(out);
     }
     precompute_fiber_coords(out);
@@ -36,10 +38,14 @@ class BcsfBuilder {
     const offset_vec& old_ptr = csf.ptr_[fiber_level];
     const offset_t old_count = old_idx.size();
 
+    offset_t segments = 0;
+    for (offset_t f = 0; f < old_count; ++f) {
+      segments += ceil_div(old_ptr[f + 1] - old_ptr[f], threshold);
+    }
     index_vec new_idx;
     offset_vec new_ptr;
-    new_idx.reserve(old_count);
-    new_ptr.reserve(old_count + 1);
+    new_idx.reserve(segments);
+    new_ptr.reserve(segments + 1);
     new_ptr.push_back(0);
 
     // seg_start_of_old[f] = first segment produced from old fiber f; used
@@ -70,21 +76,18 @@ class BcsfBuilder {
   }
 
   // For each fiber segment, record the coordinate of its ancestor at every
-  // node level, by walking each level's child ranges once (O(F) total).
+  // middle node level, by walking each level's child ranges once (O(F)
+  // total).
   static void precompute_fiber_coords(BcsfTensor& out) {
     const CsfTensor& csf = out.csf_;
     const index_t n_levels = csf.node_levels();
     const offset_t n_fibers = csf.num_fibers();
-    out.fiber_coords_.assign(n_levels, index_vec(n_fibers));
+    out.fiber_coords_.assign(std::max<index_t>(n_levels, 2) - 2,
+                             index_vec(n_fibers));
 
-    // fiber range of each node at the current level, refined level by level.
-    // Start: level n_levels-1 (fibers themselves).
-    for (offset_t f = 0; f < n_fibers; ++f) {
-      out.fiber_coords_[n_levels - 1][f] = csf.node_index(n_levels - 1, f);
-    }
-    // For shallower levels, propagate the node's index to all fibers in its
-    // subtree.  Compute each node's fiber range by chaining pointers down.
-    for (index_t level = 0; level + 1 < n_levels; ++level) {
+    // Propagate each node's index to all fibers in its subtree.  Compute
+    // each node's fiber range by chaining pointers down.
+    for (index_t level = 1; level + 1 < n_levels; ++level) {
       for (offset_t n = 0; n < csf.num_nodes(level); ++n) {
         offset_t begin = csf.child_begin(level, n);
         offset_t end = csf.child_end(level, n);
@@ -94,7 +97,7 @@ class BcsfBuilder {
         }
         const index_t coord = csf.node_index(level, n);
         for (offset_t f = begin; f < end; ++f) {
-          out.fiber_coords_[level][f] = coord;
+          out.fiber_coords_[level - 1][f] = coord;
         }
       }
     }
@@ -128,7 +131,7 @@ class BcsfBuilder {
 
       if (!out.opts_.slice_split) {
         BcsfTensor::Block b;
-        b.slice = slice;
+        b.slice = static_cast<index_t>(slice);
         b.fiber_begin = fbr_begin;
         b.fiber_end = fbr_end;
         for (offset_t f = fbr_begin; f < fbr_end; ++f) b.nnz += leaf_count(f);
@@ -139,7 +142,7 @@ class BcsfBuilder {
 
       const offset_t first_block = out.blocks_.size();
       BcsfTensor::Block cur;
-      cur.slice = slice;
+      cur.slice = static_cast<index_t>(slice);
       cur.fiber_begin = fbr_begin;
       for (offset_t f = fbr_begin; f < fbr_end; ++f) {
         cur.nnz += leaf_count(f);
@@ -147,7 +150,7 @@ class BcsfBuilder {
           cur.fiber_end = f + 1;
           out.blocks_.push_back(cur);
           cur = BcsfTensor::Block{};
-          cur.slice = slice;
+          cur.slice = static_cast<index_t>(slice);
           cur.fiber_begin = f + 1;
         }
       }
@@ -166,13 +169,48 @@ class BcsfBuilder {
   }
 };
 
-BcsfTensor build_bcsf_from_csf(const CsfTensor& csf, const BcsfOptions& opts) {
-  return BcsfBuilder::build(csf, opts);
+BcsfTensor build_bcsf_from_csf(CsfTensor csf, const BcsfOptions& opts) {
+  return BcsfBuilder::build(std::move(csf), opts);
 }
 
 BcsfTensor build_bcsf(const SparseTensor& tensor, index_t mode,
                       const BcsfOptions& opts) {
-  return BcsfBuilder::build(build_csf(tensor, mode), opts);
+  return build_bcsf(
+      tensor, mode,
+      tensor.sort_permutation(mode_order_for(mode, tensor.order())), opts);
+}
+
+BcsfTensor build_bcsf(const SparseTensor& tensor, index_t mode,
+                      offset_vec perm, const BcsfOptions& opts) {
+  BCSF_CHECK(perm.size() == tensor.nnz(),
+             "build_bcsf: permutation length " << perm.size() << " != nnz "
+                                               << tensor.nnz());
+  CsfTensor csf = build_csf_from_sorted(
+      tensor, mode_order_for(mode, tensor.order()), perm);
+  offset_vec().swap(perm);  // gone before the split, as in build_csf
+  return BcsfBuilder::build(std::move(csf), opts);
+}
+
+index_t BcsfTensor::slice_of_fiber(offset_t f) const {
+  // First fiber segment of slice s, by chaining pointers down the levels.
+  const auto first_fiber = [this](offset_t s) {
+    for (index_t level = 0; level + 1 < csf_.node_levels(); ++level) {
+      s = csf_.child_begin(level, s);
+    }
+    return s;
+  };
+  // The last slice whose first segment is at or before f.
+  offset_t lo = 0;
+  offset_t hi = csf_.num_slices();
+  while (hi - lo > 1) {
+    const offset_t mid = lo + (hi - lo) / 2;
+    if (first_fiber(mid) <= f) {
+      lo = mid;
+    } else {
+      hi = mid;
+    }
+  }
+  return csf_.node_index(0, lo);
 }
 
 void BcsfTensor::validate() const {

@@ -55,10 +55,10 @@ class BcsfTensor {
   /// inside a single slice.  `atomic_output` is set when the owning slice
   /// spans several blocks and the output row must be updated atomically.
   struct Block {
-    offset_t slice = 0;        ///< level-0 node owning these fibers
     offset_t fiber_begin = 0;  ///< leaf-parent node range [begin, end)
     offset_t fiber_end = 0;
     offset_t nnz = 0;          ///< leaf nonzeros covered by the block
+    index_t slice = 0;         ///< level-0 node owning these fibers
     bool atomic_output = false;
   };
 
@@ -72,10 +72,15 @@ class BcsfTensor {
   offset_t num_fiber_segments() const { return csf_.num_fibers(); }
 
   /// Coordinate of the ancestor of fiber segment `f` at node level
-  /// `level` (level order-2 gives the segment's own index).  Precomputed
-  /// so kernels reach every factor row without tree walks.
+  /// `level` (level order-2 gives the segment's own index).  The middle
+  /// levels are precomputed so kernels reach every factor row without
+  /// tree walks; the segment's own index is the CSF's, and level 0 -- the
+  /// output row, which kernels take from Block::slice -- is found by a
+  /// binary search over the slices.
   index_t fiber_coord(index_t level, offset_t f) const {
-    return fiber_coords_[level][f];
+    if (level + 1 == csf_.node_levels()) return csf_.node_index(level, f);
+    if (level == 0) return slice_of_fiber(f);
+    return fiber_coords_[level - 1][f];
   }
 
   /// Number of original fibers that were split (Fig. 5 diagnostics).
@@ -95,10 +100,13 @@ class BcsfTensor {
  private:
   friend class BcsfBuilder;
 
+  index_t slice_of_fiber(offset_t f) const;
+
   CsfTensor csf_;
   BcsfOptions opts_;
   std::vector<Block> blocks_;
-  std::vector<index_vec> fiber_coords_;  // [node level][fiber segment]
+  // [node level - 1][fiber segment] for the middle levels 1 .. order-3.
+  std::vector<index_vec> fiber_coords_;
   offset_t split_fiber_count_ = 0;
   offset_t split_slice_count_ = 0;
 };
@@ -109,7 +117,14 @@ class BcsfTensor {
 BcsfTensor build_bcsf(const SparseTensor& tensor, index_t mode,
                       const BcsfOptions& opts = {});
 
-/// Builds B-CSF from an existing CSF tree (shares no state; copies).
-BcsfTensor build_bcsf_from_csf(const CsfTensor& csf, const BcsfOptions& opts = {});
+/// Builds B-CSF from `perm`, a permutation that sorts the nonzeros by
+/// mode_order_for(mode, order) (SparseTensor::sort_permutation); it is
+/// freed once the CSF tree is built.
+BcsfTensor build_bcsf(const SparseTensor& tensor, index_t mode,
+                      offset_vec perm, const BcsfOptions& opts = {});
+
+/// Builds B-CSF from a CSF tree, which it takes over: move a tree in to
+/// build without copying it, or pass a copy to keep the original.
+BcsfTensor build_bcsf_from_csf(CsfTensor csf, const BcsfOptions& opts = {});
 
 }  // namespace bcsf

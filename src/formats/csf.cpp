@@ -1,81 +1,110 @@
 #include "formats/csf.hpp"
 
 #include <sstream>
+#include <vector>
 
 #include "util/error.hpp"
 
 namespace bcsf {
 
-CsfTensor build_csf_from_sorted(const SparseTensor& sorted,
-                                const ModeOrder& order) {
-  BCSF_CHECK(order.size() == sorted.order(), "build_csf: bad mode order");
-  BCSF_CHECK(sorted.order() >= 2, "build_csf: order must be >= 2");
-  BCSF_CHECK(sorted.is_sorted(order), "build_csf: tensor not sorted by mode order");
+/// Friend of CsfTensor: builds the tree over a sorted sequence of
+/// nonzeros, read in place through `at`.
+class CsfBuilder {
+ public:
+  /// The CSF of nonzeros at(0), ..., at(m-1) of `t`, a sequence that
+  /// must be sorted by `order` (checked).
+  template <typename At>
+  static CsfTensor build(const SparseTensor& t, const ModeOrder& order,
+                         offset_t m, At at) {
+    BCSF_CHECK(order.size() == t.order(), "build_csf: bad mode order");
+    BCSF_CHECK(t.order() >= 2, "build_csf: order must be >= 2");
 
-  CsfTensor t;
-  t.mode_order_ = order;
-  t.dims_ = sorted.dims();
-  const index_t n_levels = sorted.order() - 1;
-  t.idx_.resize(n_levels);
-  t.ptr_.resize(n_levels);
+    CsfTensor csf;
+    csf.mode_order_ = order;
+    csf.dims_ = t.dims();
+    const index_t n_levels = t.order() - 1;
+    csf.idx_.resize(n_levels);
+    csf.ptr_.resize(n_levels);
 
-  const offset_t m = sorted.nnz();
-  t.leaf_inds_.resize(m);
-  t.vals_.resize(m);
-  const index_t leaf_mode = order.back();
-  for (offset_t z = 0; z < m; ++z) {
-    t.leaf_inds_[z] = sorted.coord(leaf_mode, z);
-    t.vals_[z] = sorted.value(z);
-  }
-  if (m == 0) {
-    for (index_t level = 0; level < n_levels; ++level) {
-      t.ptr_[level].push_back(0);
-    }
-    return t;
-  }
+    // The shallowest node level whose coordinate changes between sorted
+    // positions z-1 and z (n_levels: only the leaf changed).  That level
+    // must have grown, as must the leaf when no level changed.
+    const index_t leaf_mode = order.back();
+    const auto changed_level = [&](offset_t z) {
+      for (index_t level = 0; level < n_levels; ++level) {
+        const index_t cur = t.coord(order[level], at(z));
+        const index_t prev = t.coord(order[level], at(z - 1));
+        if (cur != prev) {
+          BCSF_CHECK(cur > prev, "build_csf: tensor not sorted by mode order");
+          return level;
+        }
+      }
+      BCSF_CHECK(t.coord(leaf_mode, at(z)) >= t.coord(leaf_mode, at(z - 1)),
+                 "build_csf: tensor not sorted by mode order");
+      return n_levels;
+    };
 
-  // One pass: at every nonzero boundary decide, per level, whether a new
-  // node starts (a change in any ancestor-or-self coordinate).
-  for (index_t level = 0; level < n_levels; ++level) {
-    t.idx_[level].push_back(sorted.coord(order[level], 0));
-  }
-  // child counters: nodes at level L point into level L+1's node list
-  // (or the leaf array when L == n_levels-1).
-  for (index_t level = 0; level < n_levels; ++level) {
-    t.ptr_[level].push_back(0);
-  }
-
-  for (offset_t z = 1; z < m; ++z) {
-    // Find the shallowest level whose coordinate changed.
-    index_t changed = n_levels;  // n_levels = only the leaf changed
-    for (index_t level = 0; level < n_levels; ++level) {
-      if (sorted.coord(order[level], z) != sorted.coord(order[level], z - 1)) {
-        changed = level;
-        break;
+    // One pass counts the nodes per level, so every array the plan keeps
+    // is allocated once at its final size; a change at level L starts a
+    // new node at levels L..n_levels-1.
+    std::vector<offset_t> nodes(n_levels, m > 0 ? 1 : 0);
+    for (offset_t z = 1; z < m; ++z) {
+      for (index_t level = changed_level(z); level < n_levels; ++level) {
+        ++nodes[level];
       }
     }
-    // A change at level L starts a new node at levels L..n_levels-1.
-    for (index_t level = changed; level < n_levels; ++level) {
-      // Close the current node at `level`: record where its children end.
-      const offset_t child_count =
-          (level + 1 < n_levels) ? t.idx_[level + 1].size() : z;
-      t.ptr_[level].push_back(child_count);
-      t.idx_[level].push_back(sorted.coord(order[level], z));
+    for (index_t level = 0; level < n_levels; ++level) {
+      csf.idx_[level].reserve(nodes[level]);
+      csf.ptr_[level].reserve(nodes[level] + 1);
+      csf.ptr_[level].push_back(0);
     }
+    csf.leaf_inds_.resize(m);
+    csf.vals_.resize(m);
+    for (offset_t z = 0; z < m; ++z) {
+      csf.leaf_inds_[z] = t.coord(leaf_mode, at(z));
+      csf.vals_[z] = t.value(at(z));
+    }
+    if (m == 0) return csf;
+
+    for (index_t level = 0; level < n_levels; ++level) {
+      csf.idx_[level].push_back(t.coord(order[level], at(0)));
+    }
+    for (offset_t z = 1; z < m; ++z) {
+      for (index_t level = changed_level(z); level < n_levels; ++level) {
+        // Close the current node at `level`: record where its children
+        // end (nodes at level L point into level L+1's node list, or the
+        // leaf arrays when L == n_levels-1).
+        const offset_t child_count =
+            (level + 1 < n_levels) ? csf.idx_[level + 1].size() : z;
+        csf.ptr_[level].push_back(child_count);
+        csf.idx_[level].push_back(t.coord(order[level], at(z)));
+      }
+    }
+    for (index_t level = 0; level < n_levels; ++level) {
+      const offset_t child_count =
+          (level + 1 < n_levels) ? csf.idx_[level + 1].size() : m;
+      csf.ptr_[level].push_back(child_count);
+    }
+    return csf;
   }
-  for (index_t level = 0; level < n_levels; ++level) {
-    const offset_t child_count =
-        (level + 1 < n_levels) ? t.idx_[level + 1].size() : m;
-    t.ptr_[level].push_back(child_count);
-  }
-  return t;
+};
+
+CsfTensor build_csf_from_sorted(const SparseTensor& sorted,
+                                const ModeOrder& order) {
+  return CsfBuilder::build(sorted, order, sorted.nnz(),
+                           [](offset_t z) { return z; });
+}
+
+CsfTensor build_csf_from_sorted(const SparseTensor& tensor,
+                                const ModeOrder& order,
+                                std::span<const offset_t> perm) {
+  return CsfBuilder::build(tensor, order, perm.size(),
+                           [perm](offset_t z) { return perm[z]; });
 }
 
 CsfTensor build_csf(const SparseTensor& tensor, index_t mode) {
-  SparseTensor copy = tensor;
   const ModeOrder order = mode_order_for(mode, tensor.order());
-  copy.sort(order);
-  return build_csf_from_sorted(copy, order);
+  return build_csf_from_sorted(tensor, order, tensor.sort_permutation(order));
 }
 
 offset_t CsfTensor::subtree_nnz(index_t level, offset_t n) const {

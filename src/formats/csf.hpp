@@ -10,6 +10,7 @@
 #pragma once
 
 #include <cstddef>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -78,8 +79,7 @@ class CsfTensor {
   std::string summary() const;
 
  private:
-  friend CsfTensor build_csf_from_sorted(const SparseTensor& sorted,
-                                         const ModeOrder& order);
+  friend class CsfBuilder;
   friend class BcsfBuilder;
 
   ModeOrder mode_order_;
@@ -91,12 +91,20 @@ class CsfTensor {
 };
 
 /// Builds the CSF tree for `mode` (root = mode, remaining modes in
-/// increasing order, the paper's convention).  Sorts a copy of the tensor.
+/// increasing order, the paper's convention).  Reads the nonzeros through
+/// a sort permutation instead of sorting a copy of the tensor.
 CsfTensor build_csf(const SparseTensor& tensor, index_t mode);
 
 /// Builds from an already-sorted tensor (no copy, no sort).  The tensor
 /// must be sorted by `order` (checked).
 CsfTensor build_csf_from_sorted(const SparseTensor& sorted,
                                 const ModeOrder& order);
+
+/// Builds from the nonzeros perm[0], perm[1], ... of `tensor`, a sequence
+/// that must be sorted by `order` (checked): a sort permutation, or a
+/// subsequence of one, stands in for a sorted copy.
+CsfTensor build_csf_from_sorted(const SparseTensor& tensor,
+                                const ModeOrder& order,
+                                std::span<const offset_t> perm);
 
 }  // namespace bcsf

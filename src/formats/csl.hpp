@@ -9,6 +9,7 @@
 #pragma once
 
 #include <cstddef>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -52,12 +53,7 @@ class CslTensor {
   std::string summary() const;
 
  private:
-  friend CslTensor build_csl_from_sorted(const SparseTensor& sorted,
-                                         const ModeOrder& order);
-  friend CslTensor build_csl_from_sorted(const SparseTensor& sorted,
-                                         const ModeOrder& order,
-                                         index_vec slice_inds,
-                                         offset_vec slice_ptr);
+  friend class CslBuilder;
 
   ModeOrder mode_order_;
   std::vector<index_t> dims_;
@@ -67,20 +63,27 @@ class CslTensor {
   value_vec vals_;
 };
 
-/// Builds CSL for `mode` (sorts a copy).  Any slice content is
-/// representable; HB-CSF routes only all-singleton-fiber slices here.
+/// Builds CSL for `mode`, reading the nonzeros through a sort permutation
+/// (no sorted copy).  Any slice content is representable; HB-CSF routes
+/// only all-singleton-fiber slices here.
 CslTensor build_csl(const SparseTensor& tensor, index_t mode);
 
-/// Builds from a tensor already sorted by `order`.
-CslTensor build_csl_from_sorted(const SparseTensor& sorted,
-                                const ModeOrder& order);
+/// Builds CSL from `perm`, a permutation that sorts the nonzeros by
+/// mode_order_for(mode, order) (SparseTensor::sort_permutation), so a
+/// caller that already sorted skips the sort.
+CslTensor build_csl(const SparseTensor& tensor, index_t mode, offset_vec perm);
 
-/// Builds from a sorted tensor whose slice boundaries the caller already
-/// knows (e.g. HB-CSF, which classifies slices from a SliceFiberCounts
-/// scan and can hand the CSL group's boundaries over instead of having
-/// them re-detected).  `slice_ptr` has one extra trailing entry == nnz.
-CslTensor build_csl_from_sorted(const SparseTensor& sorted,
-                                const ModeOrder& order, index_vec slice_inds,
-                                offset_vec slice_ptr);
+/// Builds from slices the caller has already classified (e.g. HB-CSF's
+/// CSL group): slice s has root index slice_inds[s] and holds the
+/// slice_ptr[s+1] - slice_ptr[s] nonzeros perm[starts[s]],
+/// perm[starts[s] + 1], ... of `tensor`, in `order`.  Runs of a sort
+/// permutation stand in for a sorted copy, and the boundaries save the
+/// builder's re-scan.  `slice_ptr` starts at 0 and has one extra entry ==
+/// the group's nnz.
+CslTensor build_csl_from_runs(const SparseTensor& tensor,
+                              const ModeOrder& order,
+                              std::span<const offset_t> perm,
+                              std::span<const offset_t> starts,
+                              index_vec slice_inds, offset_vec slice_ptr);
 
 }  // namespace bcsf

@@ -53,7 +53,7 @@ class HbcsfTensor {
 
  private:
   friend HbcsfTensor build_hbcsf(const SparseTensor& tensor, index_t mode,
-                                 const BcsfOptions& opts);
+                                 offset_vec perm, const BcsfOptions& opts);
 
   ModeOrder mode_order_;
   std::vector<index_t> dims_;
@@ -66,5 +66,11 @@ class HbcsfTensor {
 /// Classifies slices per Algorithm 5 and builds the three-group hybrid.
 HbcsfTensor build_hbcsf(const SparseTensor& tensor, index_t mode,
                         const BcsfOptions& opts = {});
+
+/// Builds HB-CSF from `perm`, a permutation that sorts the nonzeros by
+/// mode_order_for(mode, order) (SparseTensor::sort_permutation), which it
+/// takes over as scratch: callers that already sorted skip the sort.
+HbcsfTensor build_hbcsf(const SparseTensor& tensor, index_t mode,
+                        offset_vec perm, const BcsfOptions& opts = {});
 
 }  // namespace bcsf

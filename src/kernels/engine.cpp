@@ -1,6 +1,8 @@
 #include "kernels/engine.hpp"
 
 #include <algorithm>
+#include <cstddef>
+#include <utility>
 #include <vector>
 
 #ifdef _OPENMP
@@ -21,6 +23,12 @@ int kernel_team_size() {
 }
 
 namespace {
+
+/// Ranges per team thread, at least: a descheduled thread then holds
+/// back one small range, not a share of the call.
+constexpr offset_t kRangesPerThread = 16;
+/// Nonzeros per range, at least, so a range's hand-out cost stays noise.
+constexpr offset_t kMinRangeNnz = 2048;
 
 /// Row `i` of a row-major factor or output matrix with `rank` columns.
 inline const value_t* row_of(const DenseMatrix& m, index_t i, rank_t rank) {
@@ -54,21 +62,22 @@ inline void broadcast(value_t* y, value_t v, rank_t rank) {
   for (rank_t r = 0; r < rank; ++r) y[r] = v;
 }
 
-/// Every B-CSF block, in order, into `out` (Alg. 3 over fiber segments).
+/// B-CSF blocks [begin, end), in order, into `out` (Alg. 3 over fiber
+/// segments).  `scratch` holds 2 x rank floats.
 void run_bcsf(const BcsfTensor& bcsf, const std::vector<DenseMatrix>& f,
-              OutputCombine combine, DenseMatrix& out) {
+              OutputCombine combine, offset_t begin, offset_t end,
+              value_t* scratch, DenseMatrix& out) {
   const CsfTensor& csf = bcsf.csf();
   const rank_t rank = f.front().cols();
   const ModeOrder& order = csf.mode_order();
   const index_t fiber_level = csf.node_levels() - 1;
   const DenseMatrix& leaf = f[order.back()];
   const bool shared = combine == OutputCombine::kPerSliceShared;
-  std::vector<value_t> tmp(rank);
-  std::vector<value_t> block_acc(rank);
-  value_t* t = tmp.data();
-  value_t* acc = block_acc.data();
+  value_t* t = scratch;
+  value_t* acc = scratch + rank;
 
-  for (const BcsfTensor::Block& block : bcsf.blocks()) {
+  for (offset_t b = begin; b < end; ++b) {
+    const BcsfTensor::Block& block = bcsf.blocks()[b];
     value_t* y = row_of(out, csf.node_index(0, block.slice), rank);
     if (shared) fill_zero(acc, rank);
     for (offset_t fb = block.fiber_begin; fb < block.fiber_end; ++fb) {
@@ -88,24 +97,23 @@ void run_bcsf(const BcsfTensor& bcsf, const std::vector<DenseMatrix>& f,
   }
 }
 
-/// Every CSL slice, in order, into `out` (Alg. 4), one accumulator per
-/// warp segment of `device.csl_segment_nnz` nonzeros.
+/// CSL slices [begin, end), in order, into `out` (Alg. 4), one
+/// accumulator per warp segment of `seg_nnz` nonzeros.  `scratch` holds
+/// 2 x rank floats.
 void run_csl(const CslTensor& csl, const std::vector<DenseMatrix>& f,
-             const DeviceModel& device, DenseMatrix& out) {
-  const auto seg_nnz = static_cast<offset_t>(device.csl_segment_nnz);
+             offset_t seg_nnz, offset_t begin, offset_t end, value_t* scratch,
+             DenseMatrix& out) {
   const rank_t rank = f.front().cols();
   const ModeOrder& order = csl.mode_order();
   const index_t n_other = csl.order() - 1;
-  std::vector<value_t> prod(rank);
-  std::vector<value_t> seg(rank);
-  value_t* p = prod.data();
-  value_t* acc = seg.data();
+  value_t* p = scratch;
+  value_t* acc = scratch + rank;
 
-  for (offset_t s = 0; s < csl.num_slices(); ++s) {
+  for (offset_t s = begin; s < end; ++s) {
     value_t* y = row_of(out, csl.slice_index(s), rank);
-    const offset_t end = csl.slice_end(s);
-    for (offset_t z0 = csl.slice_begin(s); z0 < end; z0 += seg_nnz) {
-      const offset_t z1 = std::min(z0 + seg_nnz, end);
+    const offset_t s_end = csl.slice_end(s);
+    for (offset_t z0 = csl.slice_begin(s); z0 < s_end; z0 += seg_nnz) {
+      const offset_t z1 = std::min(z0 + seg_nnz, s_end);
       fill_zero(acc, rank);
       for (offset_t z = z0; z < z1; ++z) {
         broadcast(p, csl.value(z), rank);
@@ -119,20 +127,101 @@ void run_csl(const CslTensor& csl, const std::vector<DenseMatrix>& f,
   }
 }
 
-/// HB-CSF's COO group: one nonzero per slice, so every nonzero owns its
-/// output row.
+/// HB-CSF's COO-group nonzeros [begin, end): one nonzero per slice, so
+/// every nonzero owns its output row.  `scratch` holds rank floats.
 void run_singletons(const HbcsfTensor& h, const std::vector<DenseMatrix>& f,
+                    offset_t begin, offset_t end, value_t* scratch,
                     DenseMatrix& out) {
   const rank_t rank = f.front().cols();
   const ModeOrder& order = h.mode_order();
-  std::vector<value_t> prod(rank);
-  value_t* p = prod.data();
-  for (offset_t z = 0; z < h.coo_nnz(); ++z) {
+  value_t* p = scratch;
+  for (offset_t z = begin; z < end; ++z) {
     broadcast(p, h.coo_value(z), rank);
     for (index_t q = 1; q < h.order(); ++q) {  // q = 0 is the root
       scale(p, row_of(f[order[q]], h.coo_index(q, z), rank), rank);
     }
     add(row_of(out, h.coo_index(0, z), rank), p, rank);
+  }
+}
+
+/// Nonzeros a range aims for: at least kRangesPerThread ranges per team
+/// thread, none below kMinRangeNnz.
+offset_t range_target(offset_t nnz, int team) {
+  const auto ranges = kRangesPerThread * static_cast<offset_t>(team);
+  return std::max(kMinRangeNnz, ceil_div(nnz, ranges));
+}
+
+/// Appends `units` [0, n) to `out` in ranges of about `target` nonzeros,
+/// cut greedily after a range reaches `target` but only before a unit u
+/// with can_cut(u) -- one that starts a new output row.
+template <typename NnzOf, typename CanCut>
+void cut_ranges(EngineRange::Units units, offset_t n, offset_t target,
+                NnzOf nnz_of, CanCut can_cut, std::vector<EngineRange>& out) {
+  offset_t begin = 0;
+  offset_t nnz = 0;
+  for (offset_t u = 0; u < n; ++u) {
+    if (nnz >= target && can_cut(u)) {
+      out.push_back({units, begin, u, nnz});
+      begin = u;
+      nnz = 0;
+    }
+    nnz += nnz_of(u);
+  }
+  if (begin < n) out.push_back({units, begin, n, nnz});
+}
+
+/// Hand-out order: heaviest range first, ties in list order.
+std::vector<EngineRange> heaviest_first(std::vector<EngineRange> ranges) {
+  std::sort(ranges.begin(), ranges.end(),
+            [](const EngineRange& a, const EngineRange& b) {
+              if (a.nnz != b.nnz) return a.nnz > b.nnz;
+              if (a.units != b.units) return a.units < b.units;
+              return a.begin < b.begin;
+            });
+  return ranges;
+}
+
+void append_ranges(const BcsfTensor& bcsf, offset_t target,
+                   std::vector<EngineRange>& out) {
+  const std::vector<BcsfTensor::Block>& blocks = bcsf.blocks();
+  cut_ranges(
+      EngineRange::Units::kBcsfBlocks, blocks.size(), target,
+      [&](offset_t b) { return blocks[b].nnz; },
+      // The slc-split blocks of one slice share its output row.
+      [&](offset_t b) { return blocks[b].slice != blocks[b - 1].slice; }, out);
+}
+
+void append_ranges(const CslTensor& csl, offset_t target,
+                   std::vector<EngineRange>& out) {
+  cut_ranges(
+      EngineRange::Units::kCslSlices, csl.num_slices(), target,
+      [&](offset_t s) { return csl.slice_end(s) - csl.slice_begin(s); },
+      [](offset_t) { return true; }, out);
+}
+
+/// Team-thread number inside the engine's region.
+int team_thread() {
+#ifdef _OPENMP
+  return omp_get_thread_num();
+#else
+  return 0;
+#endif
+}
+
+/// Runs run(range, scratch) for every range in ONE OpenMP region of
+/// kernel_team_size() threads, handing the ranges out one at a time.
+/// Each thread's `scratch` (2 x rank floats, padded apart so threads
+/// share no cache line) is allocated before the region, which therefore
+/// never allocates or throws.
+template <typename Run>
+void run_ranges(const std::vector<EngineRange>& ranges, int team, rank_t rank,
+                Run run) {
+  const std::size_t stride = round_up<std::size_t>(2 * rank + 16, 16);
+  std::vector<value_t> scratch(stride * static_cast<std::size_t>(team));
+  const auto n = static_cast<std::ptrdiff_t>(ranges.size());
+#pragma omp parallel for schedule(dynamic, 1) num_threads(kernel_team_size())
+  for (std::ptrdiff_t i = 0; i < n; ++i) {
+    run(ranges[i], scratch.data() + stride * team_thread());
   }
 }
 
@@ -149,31 +238,84 @@ void reset_output(DenseMatrix& out, index_t rows, rank_t rank) {
 
 }  // namespace
 
+std::vector<EngineRange> engine_ranges(const BcsfTensor& bcsf, int team) {
+  std::vector<EngineRange> out;
+  append_ranges(bcsf, range_target(bcsf.nnz(), team), out);
+  return heaviest_first(std::move(out));
+}
+
+std::vector<EngineRange> engine_ranges(const CslTensor& csl, int team) {
+  std::vector<EngineRange> out;
+  append_ranges(csl, range_target(csl.nnz(), team), out);
+  return heaviest_first(std::move(out));
+}
+
+std::vector<EngineRange> engine_ranges(const HbcsfTensor& hbcsf, int team) {
+  const offset_t target = range_target(hbcsf.nnz(), team);
+  std::vector<EngineRange> out;
+  append_ranges(hbcsf.bcsf(), target, out);
+  append_ranges(hbcsf.csl(), target, out);
+  cut_ranges(
+      EngineRange::Units::kSingletons, hbcsf.coo_nnz(), target,
+      [](offset_t) { return offset_t{1}; }, [](offset_t) { return true; },
+      out);
+  return heaviest_first(std::move(out));
+}
+
 void bcsf_engine(const BcsfTensor& bcsf, const std::vector<DenseMatrix>& factors,
                  DenseMatrix& out, OutputCombine combine) {
   const CsfTensor& csf = bcsf.csf();
   check_factors(csf.dims(), factors);
-  reset_output(out, csf.dims()[csf.root_mode()], factors.front().cols());
-  run_bcsf(bcsf, factors, combine, out);
+  const rank_t rank = factors.front().cols();
+  reset_output(out, csf.dims()[csf.root_mode()], rank);
+  const int team = kernel_team_size();
+  run_ranges(engine_ranges(bcsf, team), team, rank,
+             [&](const EngineRange& r, value_t* scratch) {
+               run_bcsf(bcsf, factors, combine, r.begin, r.end, scratch, out);
+             });
 }
 
 void csl_engine(const CslTensor& csl, const std::vector<DenseMatrix>& factors,
                 const DeviceModel& device, DenseMatrix& out) {
   check_factors(csl.dims(), factors);
-  reset_output(out, csl.dims()[csl.root_mode()], factors.front().cols());
-  run_csl(csl, factors, device, out);
+  const rank_t rank = factors.front().cols();
+  reset_output(out, csl.dims()[csl.root_mode()], rank);
+  const auto seg_nnz = static_cast<offset_t>(device.csl_segment_nnz);
+  const int team = kernel_team_size();
+  run_ranges(engine_ranges(csl, team), team, rank,
+             [&](const EngineRange& r, value_t* scratch) {
+               run_csl(csl, factors, seg_nnz, r.begin, r.end, scratch, out);
+             });
 }
 
 void hbcsf_engine(const HbcsfTensor& hbcsf,
                   const std::vector<DenseMatrix>& factors,
                   const DeviceModel& device, DenseMatrix& out) {
   check_factors(hbcsf.dims(), factors);
-  reset_output(out, hbcsf.dims()[hbcsf.root_mode()], factors.front().cols());
-  // A slice lives in exactly one group, so the groups write disjoint rows
-  // of one output: no per-group temporaries, no combining pass.
-  run_singletons(hbcsf, factors, out);
-  run_csl(hbcsf.csl(), factors, device, out);
-  run_bcsf(hbcsf.bcsf(), factors, OutputCombine::kPerFiber, out);
+  const rank_t rank = factors.front().cols();
+  reset_output(out, hbcsf.dims()[hbcsf.root_mode()], rank);
+  const auto seg_nnz = static_cast<offset_t>(device.csl_segment_nnz);
+  const int team = kernel_team_size();
+  // A slice lives in exactly one group, so the groups' ranges write
+  // disjoint rows of one output: no per-group temporaries, no combining
+  // pass.
+  run_ranges(engine_ranges(hbcsf, team), team, rank,
+             [&](const EngineRange& r, value_t* scratch) {
+               switch (r.units) {
+                 case EngineRange::Units::kBcsfBlocks:
+                   run_bcsf(hbcsf.bcsf(), factors, OutputCombine::kPerFiber,
+                            r.begin, r.end, scratch, out);
+                   break;
+                 case EngineRange::Units::kCslSlices:
+                   run_csl(hbcsf.csl(), factors, seg_nnz, r.begin, r.end,
+                           scratch, out);
+                   break;
+                 case EngineRange::Units::kSingletons:
+                   run_singletons(hbcsf, factors, r.begin, r.end, scratch,
+                                  out);
+                   break;
+               }
+             });
 }
 
 void coo_engine(const SparseTensor& tensor, index_t mode,

@@ -9,15 +9,18 @@
 // A GPU plan pays the walk once per rank (SimMemo) and the engine on
 // every call.
 //
-// Threading: every engine walks its work units on the calling thread, in
-// schedule order, so each output row is accumulated in that order and
-// outputs are bitwise identical at every thread count.  Parallelism comes
-// from the caller (shards and pool workers on the serving path); the
-// engine opens no OpenMP team, whose short regions made end-to-end times
-// vary from run to run on a shared host (DESIGN.md §1).
+// Threading: the B-CSF, CSL and HB-CSF engines cut their work units
+// into nnz-weighted ranges that each own their output rows (engine_ranges
+// below) and share them out in ONE OpenMP region of kernel_team_size()
+// threads per call, one range at a time.  A range runs its units in
+// schedule order, so each output row is still accumulated by one thread
+// in that order and outputs are bitwise identical at every team size,
+// inside pool tasks (a team of 1) included.  COO and F-COO stay
+// sequential: their work units share output rows.
 #pragma once
 
 #include <algorithm>
+#include <cstdint>
 #include <vector>
 
 #include "formats/bcsf.hpp"
@@ -45,6 +48,33 @@ inline offset_t fcoo_chunk_nnz(const FcooTensor& fcoo,
   return std::max<offset_t>(
       1, ceil_div(fcoo.partition_size(), offset_t{device.warps_per_block()}));
 }
+
+/// A run of one group's work units that one team thread takes whole.  A
+/// range owns every output row its units write: B-CSF ranges are cut
+/// only where the slice changes, so a slice's slc-split blocks always
+/// share one, and CSL slices and HB-CSF singletons are never shared.
+struct EngineRange {
+  enum class Units : std::uint8_t {
+    kBcsfBlocks,  ///< indices into BcsfTensor::blocks()
+    kCslSlices,   ///< CslTensor slices
+    kSingletons,  ///< HB-CSF COO-group nonzeros, one slice each
+  };
+  Units units = Units::kBcsfBlocks;
+  offset_t begin = 0;
+  offset_t end = 0;
+  offset_t nnz = 0;  ///< nonzeros the range's units cover
+};
+
+/// The ranges an engine call shares out to a team of `team` threads, in
+/// hand-out order: heaviest first, so an unsplittable heavy slice starts
+/// early instead of finishing the call alone.  Ranges aim at
+/// nnz / (16 x team) nonzeros but never fewer than 2048, so they far
+/// outnumber the threads: a descheduled thread holds back one small
+/// range, not a share of the call.  HB-CSF's list holds all three
+/// groups: B-CSF blocks, CSL slices and singletons.
+std::vector<EngineRange> engine_ranges(const BcsfTensor& bcsf, int team);
+std::vector<EngineRange> engine_ranges(const CslTensor& csl, int team);
+std::vector<EngineRange> engine_ranges(const HbcsfTensor& hbcsf, int team);
 
 // Every engine writes MTTKRP into `out`, shaped to dims[root] x R (reusing
 // its storage when the shape already matches) and zeroed first.  `out`

@@ -22,37 +22,46 @@ std::uint64_t exact_stat_scan_count() {
   return g_exact_stat_scans.load(std::memory_order_relaxed);
 }
 
-SliceFiberCounts count_slices_and_fibers(const SparseTensor& sorted,
-                                         const ModeOrder& order) {
-  BCSF_CHECK(order.size() == sorted.order(),
+namespace {
+
+// The slice/fiber scan over nonzeros at(0), ..., at(m-1) of `tensor`, a
+// sequence sorted by `order`: the tensor itself when it is sorted, or a
+// sort permutation, which lets callers skip copying the nonzero arrays.
+template <typename At>
+SliceFiberCounts count_in_sequence(const SparseTensor& tensor,
+                                   const ModeOrder& order, offset_t m, At at) {
+  BCSF_CHECK(order.size() == tensor.order(),
              "count_slices_and_fibers: bad mode order");
   SliceFiberCounts out;
-  const offset_t m = sorted.nnz();
   if (m == 0) return out;
 
   const index_t root = order.front();
-  const index_t n_modes = sorted.order();
+  const index_t n_modes = tensor.order();
 
   // A new fiber starts when any mode except the leaf changes; a new slice
   // starts when the root mode changes.
   auto same_fiber = [&](offset_t a, offset_t b) {
     for (index_t level = 0; level + 1 < n_modes; ++level) {
-      if (sorted.coord(order[level], a) != sorted.coord(order[level], b)) {
+      if (tensor.coord(order[level], at(a)) !=
+          tensor.coord(order[level], at(b))) {
         return false;
       }
     }
     return true;
   };
 
+  // At most one fiber per nonzero: reserving that bound up front spares
+  // the scan the reallocation peaks of growing the largest array.
+  out.fiber_nnz.reserve(m);
   offset_t slice_start = 0;
   offset_t fiber_start = 0;
-  out.slice_index.push_back(sorted.coord(root, 0));
+  out.slice_index.push_back(tensor.coord(root, at(0)));
   out.slice_fiber_begin.push_back(0);
   for (offset_t z = 1; z <= m; ++z) {
     const bool end_of_data = (z == m);
     const bool new_fiber = end_of_data || !same_fiber(z - 1, z);
-    const bool new_slice =
-        end_of_data || sorted.coord(root, z) != sorted.coord(root, z - 1);
+    const bool new_slice = end_of_data || tensor.coord(root, at(z)) !=
+                                              tensor.coord(root, at(z - 1));
     if (new_fiber) {
       out.fiber_nnz.push_back(z - fiber_start);
       fiber_start = z;
@@ -61,58 +70,7 @@ SliceFiberCounts count_slices_and_fibers(const SparseTensor& sorted,
       out.slice_nnz.push_back(z - slice_start);
       slice_start = z;
       if (!end_of_data) {
-        out.slice_index.push_back(sorted.coord(root, z));
-        out.slice_fiber_begin.push_back(out.fiber_nnz.size());
-      }
-    }
-  }
-  out.slice_fiber_begin.push_back(out.fiber_nnz.size());
-  return out;
-}
-
-namespace {
-
-// Scans a tensor through a sorted permutation -- the shared-buffer variant
-// of count_slices_and_fibers that lets compute_all_mode_stats reuse one
-// index array across modes instead of copying and re-sorting the nonzeros
-// per mode.
-SliceFiberCounts count_slices_and_fibers_perm(const SparseTensor& tensor,
-                                              const ModeOrder& order,
-                                              std::span<const offset_t> perm) {
-  SliceFiberCounts out;
-  const offset_t m = static_cast<offset_t>(perm.size());
-  if (m == 0) return out;
-
-  const index_t root = order.front();
-  const index_t n_modes = tensor.order();
-  auto same_fiber = [&](offset_t a, offset_t b) {
-    for (index_t level = 0; level + 1 < n_modes; ++level) {
-      if (tensor.coord(order[level], perm[a]) !=
-          tensor.coord(order[level], perm[b])) {
-        return false;
-      }
-    }
-    return true;
-  };
-
-  offset_t slice_start = 0;
-  offset_t fiber_start = 0;
-  out.slice_index.push_back(tensor.coord(root, perm[0]));
-  out.slice_fiber_begin.push_back(0);
-  for (offset_t z = 1; z <= m; ++z) {
-    const bool end_of_data = (z == m);
-    const bool new_fiber = end_of_data || !same_fiber(z - 1, z);
-    const bool new_slice = end_of_data || tensor.coord(root, perm[z]) !=
-                                              tensor.coord(root, perm[z - 1]);
-    if (new_fiber) {
-      out.fiber_nnz.push_back(z - fiber_start);
-      fiber_start = z;
-    }
-    if (new_slice) {
-      out.slice_nnz.push_back(z - slice_start);
-      slice_start = z;
-      if (!end_of_data) {
-        out.slice_index.push_back(tensor.coord(root, perm[z]));
+        out.slice_index.push_back(tensor.coord(root, at(z)));
         out.slice_fiber_begin.push_back(out.fiber_nnz.size());
       }
     }
@@ -122,12 +80,13 @@ SliceFiberCounts count_slices_and_fibers_perm(const SparseTensor& tensor,
 }
 
 // Distribution summaries and §V slice classification from a completed
-// slice/fiber scan; shared by both exact entry points.
-void fill_mode_stats(ModeStats& s, const SliceFiberCounts& c) {
+// slice/fiber scan; shared by both exact entry points.  Consumes the
+// scan: the per-fiber counts, up to one per nonzero, are summarized last
+// by sorting them in place rather than a copy.
+void fill_mode_stats(ModeStats& s, SliceFiberCounts c) {
   s.num_slices = c.slice_nnz.size();
   s.num_fibers = c.fiber_nnz.size();
   s.nnz_per_slice = compute_stats(std::span<const offset_t>(c.slice_nnz));
-  s.nnz_per_fiber = compute_stats(std::span<const offset_t>(c.fiber_nnz));
 
   offset_vec fibers_per_slice(s.num_slices);
   for (offset_t slc = 0; slc < s.num_slices; ++slc) {
@@ -158,22 +117,44 @@ void fill_mode_stats(ModeStats& s, const SliceFiberCounts& c) {
       static_cast<double>(singleton_slices) / static_cast<double>(s.num_slices);
   s.csl_slice_fraction =
       static_cast<double>(csl_slices) / static_cast<double>(s.num_slices);
+  s.nnz_per_fiber = compute_stats_in_place(c.fiber_nnz);
 }
 
 }  // namespace
 
+SliceFiberCounts count_slices_and_fibers(const SparseTensor& sorted,
+                                         const ModeOrder& order) {
+  return count_in_sequence(sorted, order, sorted.nnz(),
+                           [](offset_t z) { return z; });
+}
+
+SliceFiberCounts count_slices_and_fibers(const SparseTensor& tensor,
+                                         const ModeOrder& order,
+                                         std::span<const offset_t> perm) {
+  return count_in_sequence(tensor, order, perm.size(),
+                           [perm](offset_t z) { return perm[z]; });
+}
+
 ModeStats compute_mode_stats(const SparseTensor& tensor, index_t mode) {
+  if (tensor.nnz() == 0) return compute_mode_stats(tensor, mode, {});
+  return compute_mode_stats(
+      tensor, mode,
+      tensor.sort_permutation(mode_order_for(mode, tensor.order())));
+}
+
+ModeStats compute_mode_stats(const SparseTensor& tensor, index_t mode,
+                             std::span<const offset_t> perm) {
   ModeStats s;
   s.mode = mode;
   s.nnz = tensor.nnz();
   if (tensor.nnz() == 0) return s;
+  BCSF_CHECK(perm.size() == tensor.nnz(),
+             "compute_mode_stats: permutation length " << perm.size()
+                                                       << " != nnz "
+                                                       << tensor.nnz());
   g_exact_stat_scans.fetch_add(1, std::memory_order_relaxed);
-
-  SparseTensor copy = tensor;
-  const ModeOrder order = mode_order_for(mode, tensor.order());
-  copy.sort(order);
-  const SliceFiberCounts c = count_slices_and_fibers(copy, order);
-  fill_mode_stats(s, c);
+  fill_mode_stats(s, count_slices_and_fibers(
+                         tensor, mode_order_for(mode, tensor.order()), perm));
   return s;
 }
 
@@ -202,7 +183,7 @@ std::vector<ModeStats> compute_all_mode_stats(const SparseTensor& tensor) {
       }
       return false;
     });
-    fill_mode_stats(s, count_slices_and_fibers_perm(tensor, order, perm));
+    fill_mode_stats(s, count_slices_and_fibers(tensor, order, perm));
     all.push_back(s);
   }
   return all;

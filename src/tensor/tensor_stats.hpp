@@ -4,6 +4,7 @@
 // fiber (Table II columns "stdev #nnz per slc" / "stdev #nnz per fbr").
 #pragma once
 
+#include <span>
 #include <string>
 #include <vector>
 
@@ -37,8 +38,14 @@ struct ModeStats {
 };
 
 /// Computes ModeStats for one mode.  The input does not need to be sorted;
-/// a sorted copy is made internally.
+/// a sort permutation is scanned, the nonzeros are not copied.
 ModeStats compute_mode_stats(const SparseTensor& tensor, index_t mode);
+
+/// The same stats from `perm`, a permutation that sorts the nonzeros by
+/// mode_order_for(mode, order) (SparseTensor::sort_permutation), so a
+/// caller that needs that permutation anyway sorts once.
+ModeStats compute_mode_stats(const SparseTensor& tensor, index_t mode,
+                             std::span<const offset_t> perm);
 
 /// Computes ModeStats for every mode.  One shared index buffer is sorted
 /// per mode; the nonzero arrays are never copied.
@@ -63,5 +70,12 @@ struct SliceFiberCounts {
 
 SliceFiberCounts count_slices_and_fibers(const SparseTensor& sorted,
                                          const ModeOrder& order);
+
+/// The same counts for the nonzeros perm[0], perm[1], ... of `tensor`, a
+/// sequence sorted by `order` (e.g. SparseTensor::sort_permutation), so
+/// the nonzero arrays need not be copied into sorted order first.
+SliceFiberCounts count_slices_and_fibers(const SparseTensor& tensor,
+                                         const ModeOrder& order,
+                                         std::span<const offset_t> perm);
 
 }  // namespace bcsf

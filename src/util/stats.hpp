@@ -34,6 +34,9 @@ struct SampleStats {
 SampleStats compute_stats(std::span<const double> xs);
 SampleStats compute_stats(std::span<const offset_t> xs);
 SampleStats compute_stats(std::span<const index_t> xs);
+/// compute_stats for a sample the caller no longer needs in its order:
+/// sorts `xs` itself instead of a copy (equal results, no second array).
+SampleStats compute_stats_in_place(std::span<offset_t> xs);
 
 /// Population standard deviation of a span (convenience for Table II).
 double stddev(std::span<const double> xs);

@@ -97,6 +97,30 @@ TEST(Hbcsf, PartitionMatchesModeStats) {
   EXPECT_EQ(h.coo_nnz() + h.csl_nnz(), x.nnz());
 }
 
+TEST(Hbcsf, SortedTensorKeepsItsOrderWhateverThePermutation) {
+  // Already in mode-0 order, with duplicate coordinates: the permutation
+  // overload reads it as stored, like build_hbcsf(tensor, mode), so ties
+  // never depend on how the caller's sort broke them.
+  SparseTensor t({3, 4, 5});
+  const index_t coords[][3] = {
+      {0, 1, 2},                       // COO slice
+      {1, 0, 0}, {1, 0, 0}, {1, 2, 3}, // duplicate pair, same fiber
+      {2, 1, 0}, {2, 1, 0}, {2, 1, 4}, // duplicate pair
+  };
+  value_t v = 1.0F;
+  for (const auto& c : coords) t.push_back({c, 3}, v++);
+  ASSERT_TRUE(t.is_sorted(mode_order_for(0, 3)));
+  // Also a valid sort, but with each duplicate pair swapped.
+  const offset_vec swapped = {0, 2, 1, 3, 5, 4, 6};
+  const HbcsfTensor want = build_hbcsf(t, 0);
+  const HbcsfTensor got = build_hbcsf(t, 0, swapped);
+  EXPECT_EQ(got.coo_nnz(), want.coo_nnz());
+  EXPECT_EQ(got.csl().values(), want.csl().values());
+  EXPECT_EQ(got.bcsf().csf().values(), want.bcsf().csf().values());
+  EXPECT_EQ(got.index_storage_bytes(), want.index_storage_bytes());
+  EXPECT_THROW(build_hbcsf(t, 0, offset_vec(3)), Error);
+}
+
 TEST(Hbcsf, MixedTensorPartitionsEverything) {
   PowerLawConfig cfg;
   cfg.dims = {200, 60, 120};

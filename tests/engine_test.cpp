@@ -1,9 +1,13 @@
 // The arithmetic engine behind every simulated GPU key (kernels/engine.hpp).
 //
-// Two contracts, on 3- and 4-mode tensors at ranks 1, 8 and 32:
-//  * determinism: each output row is accumulated in schedule order, so
-//    outputs are bitwise identical at 1, 2 and 4 OpenMP threads and
-//    inside a pool task;
+// Three contracts, on 3- and 4-mode tensors at ranks 1, 8 and 32:
+//  * determinism: each output row is accumulated by one thread in
+//    schedule order, so outputs are bitwise identical at 1, 2, 3 and 4
+//    OpenMP threads and inside a pool task;
+//  * ownership: the range cut covers every B-CSF block, CSL slice and
+//    HB-CSF singleton exactly once and never splits a slice between
+//    ranges (a bitwise check alone can pass by luck, when both halves of
+//    a slice land on one thread);
 //  * accuracy on real-valued data: signed off-grid factors, so summation
 //    order matters, and every entry stays within the fp32 forward-error
 //    bound of the double-accumulating mttkrp_reference (see
@@ -14,11 +18,14 @@
 #include <omp.h>
 #endif
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
 #include <limits>
+#include <random>
 #include <string>
 #include <tuple>
+#include <utility>
 #include <vector>
 
 #include "bcsf/bcsf.hpp"
@@ -32,7 +39,43 @@ const char* const kGpuKeys[] = {"gpu-csf", "bcsf", "csl", "hbcsf", "coo",
 struct Case {
   std::string name;
   PowerLawConfig config;
+  /// Set for a hand-built tensor; otherwise generate_power_law(config).
+  SparseTensor (*make)() = nullptr;
+
+  SparseTensor tensor() const {
+    return make != nullptr ? make() : generate_power_law(config);
+  }
 };
+
+/// Mode-0 structure laid out by hand: three heavy slices whose split
+/// fibers fill more than ten slc-split blocks each (atomic_output), slices of
+/// singleton fibers (HB-CSF's CSL group), single-nonzero slices (its COO
+/// group), light multi-fiber slices, and every odd slice empty.
+SparseTensor heavy_slices_tensor() {
+  std::mt19937 rng(74);
+  std::uniform_real_distribution<float> value(0.5F, 1.5F);
+  SparseTensor x({240, 64, 600});
+  const auto put = [&](index_t i, index_t j, index_t k) {
+    const index_t coords[] = {i, j, k};
+    x.push_back(coords, value(rng));
+  };
+  for (index_t i = 0; i < 240; i += 2) {
+    if (i % 80 == 10) {
+      for (index_t j = 0; j < 24; ++j) {
+        for (index_t k = 0; k < 300; ++k) put(i, j, (2 * k + j) % 600);
+      }
+    } else if (i % 6 == 0) {
+      for (index_t j = 0; j < 20; ++j) put(i, j, (7 * i + 13 * j) % 600);
+    } else if (i % 6 == 2) {
+      put(i, i % 64, (3 * i) % 600);
+    } else {
+      for (index_t j = 0; j < 4; ++j) {
+        for (index_t k = 0; k < 2 + (i + j) % 8; ++k) put(i, j, 5 * k + j);
+      }
+    }
+  }
+  return x;
+}
 
 std::vector<Case> cases() {
   std::vector<Case> out;
@@ -73,6 +116,12 @@ std::vector<Case> cases() {
     c.config.max_fiber_len = 40;
     c.config.singleton_slice_frac = 0.1;
     c.config.seed = 73;
+    out.push_back(c);
+  }
+  {
+    Case c;
+    c.name = "heavyslices3d";
+    c.make = heavy_slices_tensor;
     out.push_back(c);
   }
   return out;
@@ -133,7 +182,7 @@ class EngineTest : public ::testing::TestWithParam<std::tuple<int, rank_t>> {};
 TEST_P(EngineTest, BitwiseAtEveryTeamSizeAndInsidePoolTasks) {
   const auto [case_idx, rank] = GetParam();
   const Case c = cases()[case_idx];
-  const SparseTensor x = generate_power_law(c.config);
+  const SparseTensor x = c.tensor();
   const auto factors = make_random_factors(x.dims(), rank, 901, -1.0F, 1.0F);
   PlanOptions opts;
   opts.device = DeviceModel::tiny(4, 16);
@@ -146,7 +195,7 @@ TEST_P(EngineTest, BitwiseAtEveryTeamSizeAndInsidePoolTasks) {
       const PlanPtr plan = FormatRegistry::instance().create(key, x, mode, opts);
       const DenseMatrix one =
           with_threads(1, [&] { return plan->run(factors).output; });
-      for (int threads : {2, 4}) {
+      for (int threads : {2, 3, 4}) {
         EXPECT_TRUE(bitwise_equal(
             one, with_threads(threads, [&] { return plan->run(factors).output; })))
             << threads << " threads";
@@ -163,7 +212,7 @@ TEST_P(EngineTest, BitwiseAtEveryTeamSizeAndInsidePoolTasks) {
 TEST_P(EngineTest, RealValuedOutputsStayWithinTheForwardErrorBound) {
   const auto [case_idx, rank] = GetParam();
   const Case c = cases()[case_idx];
-  const SparseTensor x = generate_power_law(c.config);
+  const SparseTensor x = c.tensor();
   const auto factors = make_random_factors(x.dims(), rank, 902, -1.0F, 1.0F);
   const auto abs_factors = abs_copy(factors);
   SparseTensor abs_x = x;
@@ -203,12 +252,123 @@ TEST_P(EngineTest, RealValuedOutputsStayWithinTheForwardErrorBound) {
 
 INSTANTIATE_TEST_SUITE_P(
     Sweep, EngineTest,
-    ::testing::Combine(::testing::Range(0, 3),
+    ::testing::Combine(::testing::Range(0, 4),
                        ::testing::Values<rank_t>(1, 8, 32)),
     [](const ::testing::TestParamInfo<std::tuple<int, rank_t>>& info) {
       return cases()[std::get<0>(info.param)].name + "_r" +
              std::to_string(std::get<1>(info.param));
     });
+
+/// Nonzeros of one range.
+offset_t range_nnz(const EngineRange& r, const BcsfTensor& bcsf,
+                   const CslTensor& csl) {
+  offset_t nnz = 0;
+  switch (r.units) {
+    case EngineRange::Units::kBcsfBlocks:
+      for (offset_t b = r.begin; b < r.end; ++b) nnz += bcsf.blocks()[b].nnz;
+      break;
+    case EngineRange::Units::kCslSlices:
+      nnz = csl.slice_begin(r.end) - csl.slice_begin(r.begin);
+      break;
+    case EngineRange::Units::kSingletons:
+      nnz = r.end - r.begin;
+      break;
+  }
+  return nnz;
+}
+
+/// The ownership contract of one range list: per unit kind the ranges
+/// tile [0, units) exactly once, B-CSF ranges start only where the slice
+/// changes, and every range but the last of its kind holds at least 2048
+/// nonzeros (so a cut never degenerates to one range per unit).
+void expect_owner_ranges(const std::vector<EngineRange>& ranges,
+                         const BcsfTensor* bcsf, const CslTensor* csl,
+                         offset_t singletons) {
+  const BcsfTensor empty_bcsf;
+  const CslTensor empty_csl;
+  const BcsfTensor& b = bcsf != nullptr ? *bcsf : empty_bcsf;
+  const CslTensor& s = csl != nullptr ? *csl : empty_csl;
+  const std::pair<EngineRange::Units, offset_t> kinds[] = {
+      {EngineRange::Units::kBcsfBlocks, b.blocks().size()},
+      {EngineRange::Units::kCslSlices, s.num_slices()},
+      {EngineRange::Units::kSingletons, singletons}};
+  for (const auto& [units, count] : kinds) {
+    SCOPED_TRACE(static_cast<int>(units));
+    std::vector<EngineRange> mine;
+    for (const EngineRange& r : ranges) {
+      if (r.units == units) mine.push_back(r);
+    }
+    std::sort(mine.begin(), mine.end(),
+              [](const EngineRange& x, const EngineRange& y) {
+                return x.begin < y.begin;
+              });
+    offset_t covered = 0;
+    for (std::size_t i = 0; i < mine.size(); ++i) {
+      const EngineRange& r = mine[i];
+      ASSERT_EQ(r.begin, covered) << "gap or overlap at range " << i;
+      ASSERT_LT(r.begin, r.end) << "empty range " << i;
+      covered = r.end;
+      if (units == EngineRange::Units::kBcsfBlocks && r.begin > 0) {
+        EXPECT_NE(b.blocks()[r.begin].slice, b.blocks()[r.begin - 1].slice)
+            << "range " << i << " splits a slice";
+      }
+      EXPECT_EQ(r.nnz, range_nnz(r, b, s)) << "range " << i;
+      if (i + 1 < mine.size()) {
+        EXPECT_GE(r.nnz, 2048u) << "range " << i;
+      }
+    }
+    EXPECT_EQ(covered, count);
+  }
+}
+
+TEST(EngineRanges, CoverEveryUnitOnceAndNeverSplitASlice) {
+  for (const Case& c : cases()) {
+    const SparseTensor x = c.tensor();
+    for (index_t mode = 0; mode < x.order(); ++mode) {
+      const BcsfTensor bcsf = build_bcsf(x, mode);
+      const CslTensor csl = build_csl(x, mode);
+      const HbcsfTensor hbcsf = build_hbcsf(x, mode);
+      for (int team : {1, 2, 3, 4, 64}) {
+        SCOPED_TRACE(c.name + " mode " + std::to_string(mode) + " team " +
+                     std::to_string(team));
+        expect_owner_ranges(engine_ranges(bcsf, team), &bcsf, nullptr, 0);
+        expect_owner_ranges(engine_ranges(csl, team), nullptr, &csl, 0);
+        expect_owner_ranges(engine_ranges(hbcsf, team), &hbcsf.bcsf(),
+                            &hbcsf.csl(), hbcsf.coo_nnz());
+      }
+    }
+  }
+}
+
+TEST(EngineRanges, HeavySlicesKeepTheirSplitBlocksTogether) {
+  // The hand-built case really exercises what the cut must respect.
+  const SparseTensor x = heavy_slices_tensor();
+  const BcsfTensor bcsf = build_bcsf(x, 0);
+  const HbcsfTensor hbcsf = build_hbcsf(x, 0);
+  EXPECT_LT(bcsf.csf().num_slices(), x.dim(0)) << "no empty slices";
+  EXPECT_EQ(bcsf.split_slice_count(), 3u);
+  EXPECT_GT(hbcsf.coo_nnz(), 0u);
+  EXPECT_GT(hbcsf.csl_nnz(), 0u);
+  EXPECT_GT(hbcsf.csf_nnz(), 0u);
+
+  for (int team : {1, 3, 4}) {
+    const std::vector<EngineRange> ranges = engine_ranges(bcsf, team);
+    EXPECT_GT(ranges.size(), 3u) << "team " << team;
+    // Each heavy slice's atomic_output blocks sit in one range.
+    std::size_t heavy_ranges = 0;
+    for (const EngineRange& r : ranges) {
+      offset_t atomic = 0;
+      for (offset_t b = r.begin; b < r.end; ++b) {
+        atomic += bcsf.blocks()[b].atomic_output ? 1 : 0;
+      }
+      if (atomic > 0) {
+        ++heavy_ranges;
+        EXPECT_GE(atomic, 10u) << "a heavy slice was cut, team " << team;
+      }
+    }
+    EXPECT_EQ(heavy_ranges, 3u) << "team " << team;
+  }
+}
 
 TEST(KernelTeamSize, OneInsidePoolTasksAndRunTasksDrains) {
   EXPECT_FALSE(in_pool_task());

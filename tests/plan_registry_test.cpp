@@ -214,5 +214,58 @@ TEST(AutoPolicy, AutoPlanDelegatesAndReportsDecision) {
   EXPECT_LT(ref.max_abs_diff(plan->run(factors).output), 1e-4 * scale);
 }
 
+std::vector<value_t> output_of(const TensorOpPlan& plan,
+                               const std::vector<DenseMatrix>& factors) {
+  const DenseMatrix out = plan.run(factors).output;
+  return {out.data().begin(), out.data().end()};
+}
+
+TEST(AutoPolicy, AutoPlanMatchesItsResolvedFormatBitwise) {
+  // `auto` sorts once for its statistics and builds the chosen format
+  // from that permutation; the result must be that format's own build.
+  const SparseTensor x = generate_power_law(high_stddev_config());
+  const auto factors = make_random_factors(x.dims(), 8, 6);
+  PlanOptions opts;
+  opts.expected_mttkrp_calls = 64;
+  for (index_t mode = 0; mode < x.order(); ++mode) {
+    const PlanPtr plan = FormatRegistry::instance().create("auto", x, mode, opts);
+    const PlanPtr direct = FormatRegistry::instance().create(
+        plan->resolved_format(), x, mode, opts);
+    EXPECT_NE(plan->resolved_format(), "coo") << "mode " << mode;
+    EXPECT_EQ(plan->storage_bytes(), direct->storage_bytes()) << "mode " << mode;
+    EXPECT_EQ(output_of(*plan, factors), output_of(*direct, factors))
+        << "mode " << mode;
+  }
+}
+
+TEST(FormatRegistry, SortedCreateMatchesThePlainBuild) {
+  // A caller's sort permutation stands in for the format's own sort: same
+  // storage, bitwise the same MTTKRP, on every mode of a 3- and a 4-mode
+  // tensor.  Entries without a sorted factory build as plain create().
+  const FormatRegistry& r = FormatRegistry::instance();
+  EXPECT_TRUE(r.at("bcsf").sorted_factory);
+  EXPECT_TRUE(r.at("csl").sorted_factory);
+  EXPECT_TRUE(r.at("hbcsf").sorted_factory);
+  EXPECT_FALSE(r.at("coo").sorted_factory);
+  PowerLawConfig four = high_stddev_config();
+  four.dims = {40, 50, 60, 30};
+  four.target_nnz = 20000;
+  for (const SparseTensor& x : {generate_power_law(high_stddev_config()),
+                                generate_power_law(four)}) {
+    const auto factors = make_random_factors(x.dims(), 8, 5);
+    for (index_t mode = 0; mode < x.order(); ++mode) {
+      for (const char* name : {"bcsf", "csl", "hbcsf", "coo"}) {
+        const PlanPtr plain = r.create(name, x, mode);
+        const PlanPtr sorted = r.create(
+            name, x, mode, {}, x.sort_permutation(mode_order_for(mode, x.order())));
+        EXPECT_EQ(sorted->storage_bytes(), plain->storage_bytes())
+            << name << " mode " << mode;
+        EXPECT_EQ(output_of(*sorted, factors), output_of(*plain, factors))
+            << name << " mode " << mode;
+      }
+    }
+  }
+}
+
 }  // namespace
 }  // namespace bcsf

@@ -2,7 +2,7 @@
 //
 //   * merge-path scratch leases must return to the arena when a shard's
 //     execute throws (they used to leak: the explicit release lived only
-//     on the success path);
+//     on the success path), in the service and in ShardedPlan alike;
 //   * submit/dispatch racing a pool shutdown must resolve EVERY future
 //     with a value or a bcsf::Error -- never broken_promise (dispatch
 //     used to call the throwing submit mid-loop, stranding the promises
@@ -24,11 +24,14 @@
 #include <vector>
 
 #include "core/format_registry.hpp"
+#include "core/sharded_plan.hpp"
 #include "core/tensor_op_plan.hpp"
 #include "serve/tensor_op_service.hpp"
 #include "serve_test_util.hpp"
+#include "tensor/partitioner.hpp"
 #include "tensor/sparse_tensor.hpp"
 #include "util/error.hpp"
+#include "util/thread_pool.hpp"
 
 namespace bcsf {
 namespace {
@@ -147,6 +150,32 @@ TEST(ServeBugs, MergePathLeasesReturnWhenAShardThrows) {
   const ServeResponse ok = service.submit({"t", 2, factors}).get();
   EXPECT_EQ(ok.op, OpKind::kMttkrp);
   EXPECT_FALSE(ok.upgraded);
+}
+
+TEST(ServeBugs, PlanMergePathLeasesReturnWhenAShardThrows) {
+  // The plan-layer twin: ShardedPlan::execute_merge leases its partials
+  // from its own arena, and a throwing shard must not strand them either.
+  const std::vector<index_t> dims{64, 32, 16};
+  SparseTensor x = serve_test::exact_tensor(dims, 4000, 13);
+  const index_t origin[] = {0, 0, 0};
+  x.push_back(origin, 1.0F);  // guarantee shard 0 is poisoned
+  const auto factors = serve_test::exact_factors(dims, 8, 14);
+
+  ThreadPool pool(2);
+  PlanOptions opts;
+  opts.sharding.shard_format = "flaky-serve-test";
+  opts.sharding.pool = &pool;
+  // Partitioned along mode 0, run on mode 1: the merge path.
+  const ShardedPlan plan(share_partition(partition_tensor(x, 0, 4)), 1, opts);
+  ASSERT_EQ(plan.shard_count(), 4u);
+  ASSERT_FALSE(plan.disjoint_output(1));
+  EXPECT_EQ(plan.scratch_pooled(), 0u);
+
+  // Shard 0 throws; shards 1-3 each took a lease, and all three must be
+  // back on the freelist once the error has propagated.
+  EXPECT_THROW(plan.run(*factors), Error);
+  EXPECT_EQ(plan.scratch_pooled(), 3u)
+      << "the sibling shards' merge-path leases leaked";
 }
 
 // ---------------------------------------------------------------------------

@@ -4,8 +4,10 @@
 // CSL candidate and one CSF slice.
 #include <gtest/gtest.h>
 
+#include "tensor/generator.hpp"
 #include "tensor/sparse_tensor.hpp"
 #include "tensor/tensor_stats.hpp"
+#include "util/error.hpp"
 
 namespace bcsf {
 namespace {
@@ -81,6 +83,42 @@ TEST(TensorStats, AllModesCoverEveryMode) {
     EXPECT_EQ(all[m].mode, m);
     EXPECT_EQ(all[m].nnz, 8u);
   }
+}
+
+void expect_same(const SampleStats& a, const SampleStats& b) {
+  EXPECT_EQ(a.count, b.count);
+  EXPECT_EQ(a.sum, b.sum);
+  EXPECT_EQ(a.mean, b.mean);
+  EXPECT_EQ(a.stddev, b.stddev);
+  EXPECT_EQ(a.min, b.min);
+  EXPECT_EQ(a.max, b.max);
+  EXPECT_EQ(a.p50, b.p50);
+  EXPECT_EQ(a.p99, b.p99);
+  EXPECT_EQ(a.gini, b.gini);
+}
+
+TEST(TensorStats, PermutationOverloadMatchesItsOwnSort) {
+  PowerLawConfig cfg;
+  cfg.dims = {60, 40, 50, 30};
+  cfg.target_nnz = 6000;
+  cfg.singleton_slice_frac = 0.2;
+  cfg.seed = 46;
+  const SparseTensor t = generate_power_law(cfg);
+  for (index_t m = 0; m < t.order(); ++m) {
+    const ModeStats want = compute_mode_stats(t, m);
+    const std::uint64_t scans = exact_stat_scan_count();
+    const ModeStats got = compute_mode_stats(
+        t, m, t.sort_permutation(mode_order_for(m, t.order())));
+    EXPECT_EQ(exact_stat_scan_count(), scans + 1);  // still one exact scan
+    EXPECT_EQ(got.num_slices, want.num_slices) << "mode " << m;
+    EXPECT_EQ(got.num_fibers, want.num_fibers) << "mode " << m;
+    expect_same(got.nnz_per_slice, want.nnz_per_slice);
+    expect_same(got.nnz_per_fiber, want.nnz_per_fiber);
+    expect_same(got.fibers_per_slice, want.fibers_per_slice);
+    EXPECT_EQ(got.singleton_slice_fraction, want.singleton_slice_fraction);
+    EXPECT_EQ(got.csl_slice_fraction, want.csl_slice_fraction);
+  }
+  EXPECT_THROW(compute_mode_stats(t, 0, offset_vec(t.nnz() - 1)), Error);
 }
 
 TEST(TensorStats, Order2FiberEqualsSlice) {

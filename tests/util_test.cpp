@@ -2,7 +2,10 @@
 // random samplers, CLI parsing, and the error macros.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <vector>
 
 #include "util/cli.hpp"
 #include "util/error.hpp"
@@ -82,6 +85,27 @@ TEST(Stats, GiniConcentratedIsHigh) {
 TEST(Stats, MedianInterpolates) {
   const std::vector<double> xs = {1.0, 2.0, 3.0, 4.0};
   EXPECT_DOUBLE_EQ(compute_stats(xs).p50, 2.5);
+}
+
+TEST(Stats, InPlaceMatchesTheCopy) {
+  std::vector<offset_t> xs(1001);
+  std::uint64_t state = 12345;
+  for (offset_t& x : xs) {
+    state = state * 6364136223846793005ULL + 1442695040888963407ULL;
+    x = (state >> 33) % 5000;
+  }
+  const SampleStats want = compute_stats(std::span<const offset_t>(xs));
+  const SampleStats got = compute_stats_in_place(xs);
+  EXPECT_TRUE(std::is_sorted(xs.begin(), xs.end()));
+  EXPECT_EQ(got.count, want.count);
+  EXPECT_EQ(got.sum, want.sum);
+  EXPECT_EQ(got.mean, want.mean);
+  EXPECT_EQ(got.stddev, want.stddev);
+  EXPECT_EQ(got.min, want.min);
+  EXPECT_EQ(got.max, want.max);
+  EXPECT_EQ(got.p50, want.p50);
+  EXPECT_EQ(got.p99, want.p99);
+  EXPECT_EQ(got.gini, want.gini);
 }
 
 TEST(Stats, Log2Histogram) {
