@@ -1,13 +1,15 @@
 // google-benchmark microbenchmarks of the host-side building blocks:
 // format construction, the simulator's cost walk, warm plan executes
 // through the FormatRegistry -- the arithmetic engine behind the
-// simulated formats next to the real CPU kernels -- and the CPD-ALS dense
-// kernels (Gram, SPD right-solve).  These measure actual
+// simulated formats next to the real CPU kernels -- the CPD-ALS dense
+// kernels (Gram, SPD right-solve), and sketch ingest.  These measure actual
 // wall time on this machine (unlike the simulated-GPU figures) and are
 // the numbers a downstream user cares about for preprocessing budgets and
 // serving latency.  Execute benches report GF/s with the COO flop
 // convention, order x R per nonzero (DESIGN.md §1).
 #include <benchmark/benchmark.h>
+
+#include <chrono>
 
 #include "bcsf/bcsf.hpp"
 
@@ -167,6 +169,49 @@ void BM_SolveSpdRight(benchmark::State& state) {
   set_gflop_rate(state, 2.0 * static_cast<double>(b.rows()) * kRank * kRank);
 }
 BENCHMARK(BM_SolveSpdRight)->Unit(benchmark::kMillisecond);
+
+/// Sketch ingest (DESIGN.md §12): TensorSketch::build -- every mode's
+/// slice histogram, HyperLogLog, AMS counters and exact fiber count --
+/// which registration and each compaction pay once per stored nonzero.
+/// ns_per_nnz is per stored nonzero, all modes together.
+const SparseTensor& fleet_tenant_tensor() {
+  // fleet-socket's largest tenant: 84,318 unique uniform cells.
+  static const SparseTensor x = generate_uniform({96, 128, 72}, 84'318, 1);
+  return x;
+}
+
+const SparseTensor& serve_base_tensor() {
+  // The serve-updates base: 200k power-law nonzeros.
+  static const SparseTensor x = [] {
+    PowerLawConfig cfg;
+    cfg.dims = {400, 600, 800};
+    cfg.target_nnz = 200'000;
+    cfg.slice_alpha = 0.8;
+    cfg.fiber_alpha = 0.8;
+    cfg.max_fiber_len = 64;
+    cfg.seed = 1;
+    return generate_power_law(cfg);
+  }();
+  return x;
+}
+
+void BM_SketchBuild(benchmark::State& state, const SparseTensor& (*input)()) {
+  const SparseTensor& x = input();
+  const auto start = std::chrono::steady_clock::now();
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(TensorSketch::build(x));
+  }
+  const std::chrono::duration<double, std::nano> elapsed =
+      std::chrono::steady_clock::now() - start;
+  state.SetItemsProcessed(state.iterations() * x.nnz());
+  state.counters["ns_per_nnz"] =
+      elapsed.count() / (static_cast<double>(state.iterations()) *
+                         static_cast<double>(x.nnz()));
+}
+BENCHMARK_CAPTURE(BM_SketchBuild, fleet_tenant, &fleet_tenant_tensor)
+    ->Unit(benchmark::kMillisecond);
+BENCHMARK_CAPTURE(BM_SketchBuild, serve_base, &serve_base_tensor)
+    ->Unit(benchmark::kMillisecond);
 
 /// The B-CSF cost walk alone (cache model + SM scheduler, no arithmetic):
 /// what a GPU plan pays once per rank.

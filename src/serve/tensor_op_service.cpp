@@ -62,19 +62,13 @@ void TensorOpService::register_tensor(const std::string& name,
                                             << " out of range for tensor '"
                                             << name << "'");
 
-  // Sketch the partition mode in ONE streaming pass (DESIGN.md §12):
-  // the same O(nnz) walk feeds shard pricing (nnz + slice skew) and the
-  // slice-mass CDF the sketched partitioner cuts against, replacing the
-  // register path's O(nnz log nnz) sort.
-  ModeSketch reg_sketch(opts_.shard_mode, tensor->order());
-  if (opts_.sketch_policy) {
-    std::vector<index_t> coords(tensor->order());
-    for (offset_t z = 0; z < tensor->nnz(); ++z) {
-      for (index_t m = 0; m < tensor->order(); ++m) {
-        coords[m] = tensor->coord(m, z);
-      }
-      reg_sketch.add(coords);
-    }
+  // Count the partition mode's slices in ONE pass over its coordinate
+  // column (DESIGN.md §12): shard pricing reads the slice skew and the
+  // partitioner cuts against the slice-mass CDF, replacing the register
+  // path's O(nnz log nnz) sort.  A fixed single shard reads neither.
+  SliceHistogram reg_slices(tensor->dim(opts_.shard_mode));
+  if (opts_.sketch_policy && opts_.shards != 1) {
+    reg_slices.add_column(tensor->mode_indices(opts_.shard_mode));
   }
 
   // Auto pricing is overhead-aware (DESIGN.md §8): the partition mode's
@@ -86,7 +80,7 @@ void TensorOpService::register_tensor(const std::string& name,
       opts_.shards == 0
           ? auto_shard_count(tensor->nnz(), tensor->dim(opts_.shard_mode),
                              AutoPolicyOptions{},
-                             opts_.sketch_policy ? reg_sketch.max_slice_nnz()
+                             opts_.sketch_policy ? reg_slices.max_slice_nnz()
                                                  : offset_t{0})
           : opts_.shards;
   auto state = std::make_unique<TensorState>();
@@ -103,7 +97,7 @@ void TensorOpService::register_tensor(const std::string& name,
   } else {
     const TensorPartition partition =
         opts_.sketch_policy
-            ? partition_tensor(*tensor, opts_.shard_mode, want, reg_sketch)
+            ? partition_tensor(*tensor, opts_.shard_mode, want, reg_slices)
             : partition_tensor(*tensor, opts_.shard_mode, want);
     BCSF_INFO << "TensorOpService: tensor '" << name << "' -> "
               << partition.to_string();

@@ -208,20 +208,28 @@ TensorPartition partition_tensor(const SparseTensor& tensor, index_t mode,
 
 TensorPartition partition_tensor(const SparseTensor& tensor, index_t mode,
                                  unsigned shards, const ModeSketch& sketch) {
+  BCSF_CHECK(sketch.mode() == mode,
+             "partition_tensor: sketch of mode " << sketch.mode()
+                                                 << " used to cut mode " << mode);
+  return partition_tensor(tensor, mode, shards, sketch.slices());
+}
+
+TensorPartition partition_tensor(const SparseTensor& tensor, index_t mode,
+                                 unsigned shards, const SliceHistogram& slices) {
   BCSF_CHECK(tensor.nnz() > 0, "partition_tensor: empty tensor");
   BCSF_CHECK(mode < tensor.order(),
              "partition_tensor: mode " << mode << " out of range for order "
                                        << tensor.order());
-  BCSF_CHECK(sketch.mode() == mode && sketch.nnz() == tensor.nnz(),
-             "partition_tensor: sketch does not describe mode " << mode
-                                                                << " of this tensor");
+  BCSF_CHECK(slices.extent() == tensor.dim(mode) && slices.nnz() == tensor.nnz(),
+             "partition_tensor: slice histogram does not describe mode "
+                 << mode << " of this tensor");
   const offset_t nnz = tensor.nnz();
   const offset_t k = std::clamp<offset_t>(shards == 0 ? 1 : shards, 1, nnz);
 
-  // The sketch's slice-occupancy histogram is exact, so its prefix sums
-  // ARE the slice boundary offsets of the (never materialized) sorted
-  // stream -- the same `starts` array the sorting path scans for.
-  const std::vector<SliceMass> cdf = sketch.slice_cdf();
+  // The slice-occupancy histogram is exact, so its prefix sums ARE the
+  // slice boundary offsets of the (never materialized) sorted stream --
+  // the same `starts` array the sorting path scans for.
+  const std::vector<SliceMass> cdf = slices.slice_cdf();
   offset_vec starts;
   starts.reserve(cdf.size() + 1);
   offset_t acc = 0;
@@ -229,7 +237,7 @@ TensorPartition partition_tensor(const SparseTensor& tensor, index_t mode,
     starts.push_back(acc);
     acc += s.nnz;
   }
-  BCSF_CHECK(acc == nnz, "partition_tensor: sketch slice masses sum to "
+  BCSF_CHECK(acc == nnz, "partition_tensor: slice masses sum to "
                              << acc << ", tensor has " << nnz);
   starts.push_back(nnz);
 
@@ -263,7 +271,7 @@ TensorPartition partition_tensor(const SparseTensor& tensor, index_t mode,
     for (index_t m = 0; m < tensor.order(); ++m) coords[m] = tensor.coord(m, z);
     const auto it = next_pos.find(coords[mode]);
     BCSF_CHECK(it != next_pos.end(),
-               "partition_tensor: slice " << coords[mode] << " missing from sketch");
+               "partition_tensor: slice " << coords[mode] << " missing from histogram");
     const offset_t vpos = it->second++;
     const std::size_t s =
         static_cast<std::size_t>(std::upper_bound(cuts.begin(), cuts.end(), vpos) -

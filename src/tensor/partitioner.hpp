@@ -119,13 +119,16 @@ using PartitionPtr = std::shared_ptr<const TensorPartition>;
 TensorPartition partition_tensor(const SparseTensor& tensor, index_t mode,
                                  unsigned shards);
 
-/// Sketch-backed partitioning (DESIGN.md §12): places the same cuts as
-/// the overload above -- the slice-mass CDF of `sketch` (which is exact)
-/// reproduces the slice boundary offsets of the sorted stream, and the
-/// identical snap-or-split rule runs against them -- but never sorts the
-/// nonzeros: shards are materialized by one bucketing pass in input
+/// Histogram-backed partitioning (DESIGN.md §12): places the same cuts
+/// as the overload above -- the slice-mass CDF of `slices` (which is
+/// exact) reproduces the slice boundary offsets of the sorted stream, and
+/// the identical snap-or-split rule runs against them -- but never sorts
+/// the nonzeros: shards are materialized by one bucketing pass in input
 /// order.  O(nnz + S log S) instead of O(nnz log nnz), no scratch copy.
-/// `sketch` must describe exactly `tensor`'s mode-`mode` structure.
+/// `slices` must count exactly `tensor`'s mode-`mode` coordinates.
+TensorPartition partition_tensor(const SparseTensor& tensor, index_t mode,
+                                 unsigned shards, const SliceHistogram& slices);
+/// The same, from a mode-`mode` sketch of `tensor`.
 TensorPartition partition_tensor(const SparseTensor& tensor, index_t mode,
                                  unsigned shards, const ModeSketch& sketch);
 

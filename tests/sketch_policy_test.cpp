@@ -3,7 +3,8 @@
 // the registry corpus generators, and the serving path must do ZERO
 // O(nnz) exact-stats work once sketches exist -- asserted through the
 // exact_stat_scan_count() hook across a full register/query/update/
-// upgrade/compact lifecycle.
+// upgrade/compact lifecycle.  The sketch_ingest_count() hook pins how
+// often registration and compaction ingest nonzeros into sketches.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -159,6 +160,49 @@ TEST(SketchPolicy, ServingPathDoesZeroExactScansWithSketches) {
   // lifecycle: registration, policy resolution, upgrades, compactions,
   // and kStats queries all read sketches.
   EXPECT_EQ(scans_during_lifecycle(/*sketch_policy=*/true), 0u);
+}
+
+TEST(SketchPolicy, RegistrationPrePassRunsOnlyWhenSharding) {
+  // Every shard's base sketch ingests each of its nonzeros once per mode.
+  // Only a sharded registration adds the pass over the partition mode's
+  // slices (shard pricing and cut placement read it); a fixed single
+  // shard reads neither, so it skips that pass.
+  const SparseTensor tensor = generate_uniform({120, 100, 80}, 6000, 31);
+  for (const unsigned shards : {1u, 3u}) {
+    ServeOptions opts;
+    opts.workers = 2;
+    opts.shards = shards;
+    TensorOpService service(opts);
+    const std::uint64_t before = sketch_ingest_count();
+    service.register_tensor("t", share_tensor(SparseTensor(tensor)));
+    const std::uint64_t passes = shards == 1 ? 3 : 4;
+    EXPECT_EQ(sketch_ingest_count() - before, passes * tensor.nnz())
+        << shards << " shard(s)";
+    EXPECT_EQ(service.shard_count("t"), shards);
+  }
+}
+
+TEST(SketchPolicy, CompactionIngestsTheMergedBaseOnce) {
+  ServeOptions opts;
+  opts.workers = 2;
+  opts.shards = 1;
+  opts.compact_min_nnz = 64;
+  opts.compact_threshold = 0.05;
+  TensorOpService service(opts);
+  const std::vector<index_t> dims{120, 100, 80};
+  service.register_tensor("t", share_tensor(generate_uniform(dims, 6000, 37)));
+
+  const SparseTensor batch = generate_uniform(dims, 1500, 41);
+  const std::uint64_t before = sketch_ingest_count();
+  service.apply_updates("t", SparseTensor(batch));
+  service.wait_idle();
+  ASSERT_EQ(service.compaction_count("t"), 1u);
+  const TensorSnapshot snap = service.snapshot("t");
+  ASSERT_EQ(snap.delta_nnz, 0u);
+  // The batch once into the delta sketch, then the coalesced base once
+  // into the new base sketch: no other pass touches a nonzero.
+  EXPECT_EQ(sketch_ingest_count() - before,
+            3 * (batch.nnz() + snap.base->nnz()));
 }
 
 TEST(SketchPolicy, StatsOpAnswersFromSketches) {

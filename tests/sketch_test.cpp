@@ -3,11 +3,18 @@
 // on uniform and power-law (Zipf-tailed) tensors, merge associativity
 // (shard-merged == whole-tensor, bitwise on the integer state),
 // incremental == from-scratch across apply/compact cycles, the sketched
-// partitioner's cut equivalence, and the approximate norm's error bound.
+// partitioner's cut equivalence, the approximate norm's error bound, and
+// bulk ingest == a per-nonzero oracle, field for field and bit for bit.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstdint>
+#include <span>
+#include <string>
+#include <unordered_map>
+#include <unordered_set>
 #include <vector>
 
 #include "core/auto_policy.hpp"
@@ -17,6 +24,7 @@
 #include "tensor/sketch.hpp"
 #include "tensor/sparse_tensor.hpp"
 #include "tensor/tensor_stats.hpp"
+#include "util/error.hpp"
 
 namespace bcsf {
 namespace {
@@ -404,6 +412,308 @@ TEST(Sketch, DeterministicAcrossBuilds) {
     reversed.push_back(coords, t.value(z - 1));
   }
   expect_same_structure(TensorSketch::build(reversed), a);
+}
+
+
+// --- Bulk ingest against a per-nonzero oracle --------------------------
+
+/// The per-nonzero ModeSketch::add that bulk ingest replaced, kept here
+/// verbatim as the oracle (the way linalg_test keeps the scalar Gram
+/// loops): a hash-map slice histogram, an HLL register update with
+/// std::ldexp, a branchy +/-1 AMS loop, and the exact fiber count from a
+/// hash set of fiber hashes.  Its seeds are the sketch's fixed ones.
+class OracleModeSketch {
+ public:
+  OracleModeSketch(index_t mode, index_t order) : mode_(mode) {
+    const ModeOrder mode_order = mode_order_for(mode, order);
+    fiber_modes_.assign(mode_order.begin(), mode_order.end() - 1);
+  }
+
+  void add(std::span<const index_t> coords) {
+    const index_t slice = coords[mode_];
+    if (nnz == 0) {
+      min_slice = max_slice = slice;
+    } else {
+      min_slice = std::min(min_slice, slice);
+      max_slice = std::max(max_slice, slice);
+    }
+    offset_t& c = hist[slice];
+    sum_sq += 2 * static_cast<std::uint64_t>(c) + 1;
+    if (c == 0) {
+      ++singletons;
+    } else if (c == 1) {
+      --singletons;
+    }
+    ++c;
+    if (c > max_slice_nnz) max_slice_nnz = c;
+    ++nnz;
+
+    std::uint64_t h = kFiberSeed ^ mode_;
+    for (index_t m : fiber_modes_) h = sketch_mix64(h ^ coords[m]);
+    fibers.insert(h);
+    const std::size_t idx = static_cast<std::size_t>(h >> 52);
+    const std::uint64_t w = (h << 12) | 1ULL;
+    const std::uint8_t rho = static_cast<std::uint8_t>(std::countl_zero(w) + 1);
+    std::uint8_t& reg = regs[idx];
+    if (rho > reg) {
+      inv_sum += std::ldexp(1.0, -static_cast<int>(rho)) -
+                 std::ldexp(1.0, -static_cast<int>(reg));
+      if (reg == 0) --zero_regs;
+      reg = rho;
+    }
+    const std::uint64_t bits = sketch_mix64(h ^ kAmsSeed);
+    for (std::size_t i = 0; i < ams.size(); ++i) {
+      ams[i] += ((bits >> i) & 1U) ? 1 : -1;
+    }
+  }
+
+  std::vector<SliceMass> slice_cdf() const {
+    std::vector<SliceMass> cdf;
+    for (const auto& [slice, count] : hist) cdf.push_back({slice, count});
+    std::sort(cdf.begin(), cdf.end(), [](const SliceMass& a, const SliceMass& b) {
+      return a.slice < b.slice;
+    });
+    return cdf;
+  }
+
+  static constexpr std::uint64_t kFiberSeed = 0x9ae16a3b2f90404fULL;
+  static constexpr std::uint64_t kAmsSeed = 0x517cc1b727220a95ULL;
+
+  std::unordered_map<index_t, offset_t> hist;
+  offset_t nnz = 0;
+  offset_t singletons = 0;
+  offset_t max_slice_nnz = 0;
+  std::uint64_t sum_sq = 0;
+  index_t min_slice = 0;
+  index_t max_slice = 0;
+  std::vector<std::uint8_t> regs = std::vector<std::uint8_t>(4096, 0);
+  double inv_sum = 4096.0;
+  std::uint32_t zero_regs = 4096;
+  std::vector<std::int64_t> ams = std::vector<std::int64_t>(32, 0);
+  std::unordered_set<std::uint64_t> fibers;  // distinct fiber hashes
+
+ private:
+  index_t mode_;
+  std::vector<index_t> fiber_modes_;
+};
+
+/// The oracle fed every stored entry of `t`, in storage order.
+std::vector<OracleModeSketch> oracle_of(const SparseTensor& t) {
+  std::vector<OracleModeSketch> oracle;
+  for (index_t m = 0; m < t.order(); ++m) oracle.emplace_back(m, t.order());
+  std::vector<index_t> coords(t.order());
+  for (offset_t z = 0; z < t.nnz(); ++z) {
+    for (index_t m = 0; m < t.order(); ++m) coords[m] = t.coord(m, z);
+    for (OracleModeSketch& o : oracle) o.add(coords);
+  }
+  return oracle;
+}
+
+/// Every field of `s` against the oracle.  `exact` is the exact-fiber
+/// flag `s` must carry; when set, its count must be the oracle's.
+void expect_matches_oracle(const ModeSketch& s, const OracleModeSketch& o,
+                           bool exact) {
+  EXPECT_EQ(s.nnz(), o.nnz);
+  EXPECT_EQ(s.num_slices(), static_cast<offset_t>(o.hist.size()));
+  EXPECT_EQ(s.singleton_slices(), o.singletons);
+  EXPECT_EQ(s.max_slice_nnz(), o.max_slice_nnz);
+  EXPECT_EQ(s.sum_sq_slice_nnz(), o.sum_sq);
+  if (o.nnz > 0) {
+    EXPECT_EQ(s.slices().min_slice(), o.min_slice);
+    EXPECT_EQ(s.slices().max_slice(), o.max_slice);
+  }
+  EXPECT_TRUE(std::ranges::equal(s.hll_registers(), o.regs));
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(s.hll_register_sum()),
+            std::bit_cast<std::uint64_t>(o.inv_sum));
+  EXPECT_EQ(s.hll_zero_registers(), o.zero_regs);
+  EXPECT_TRUE(std::ranges::equal(s.ams_counters(), o.ams));
+  EXPECT_EQ(s.fibers_exact(), exact);
+  if (exact) {
+    EXPECT_EQ(s.exact_fibers(), static_cast<offset_t>(o.fibers.size()));
+  }
+  const std::vector<SliceMass> got = s.slice_cdf();
+  const std::vector<SliceMass> want = o.slice_cdf();
+  ASSERT_EQ(got.size(), want.size());
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    EXPECT_EQ(got[i].slice, want[i].slice);
+    EXPECT_EQ(got[i].nnz, want[i].nnz);
+  }
+}
+
+void expect_matches_oracle(const TensorSketch& s,
+                           const std::vector<OracleModeSketch>& oracle,
+                           bool exact) {
+  ASSERT_EQ(s.order(), oracle.size());
+  for (index_t m = 0; m < s.order(); ++m) {
+    SCOPED_TRACE("mode " + std::to_string(m));
+    expect_matches_oracle(s.mode(m), oracle[m], exact);
+  }
+}
+
+/// The nonzeros of `t` in [begin, end) of storage order.
+SparseTensor range_of(const SparseTensor& t, offset_t begin, offset_t end) {
+  SparseTensor out(t.dims());
+  std::vector<index_t> coords(t.order());
+  for (offset_t z = begin; z < end; ++z) {
+    for (index_t m = 0; m < t.order(); ++m) coords[m] = t.coord(m, z);
+    out.push_back(coords, t.value(z));
+  }
+  return out;
+}
+
+/// `t` followed by a copy of its first `n` entries (stored duplicates).
+SparseTensor with_duplicates(const SparseTensor& t, offset_t n) {
+  SparseTensor out = range_of(t, 0, t.nnz());
+  std::vector<index_t> coords(t.order());
+  for (offset_t z = 0; z < n; ++z) {
+    for (index_t m = 0; m < t.order(); ++m) coords[m] = t.coord(m, z);
+    out.push_back(coords, t.value(z));
+  }
+  return out;
+}
+
+/// Every ingest entry point -- TensorSketch::build, add_tensor, add,
+/// DynamicSparseTensor::apply -- and a merge of two halves all reproduce
+/// the per-nonzero oracle's state.
+void expect_bulk_matches_oracle(const SparseTensor& t) {
+  const std::vector<OracleModeSketch> oracle = oracle_of(t);
+  {
+    SCOPED_TRACE("build");
+    expect_matches_oracle(TensorSketch::build(t), oracle, /*exact=*/true);
+  }
+  {
+    SCOPED_TRACE("add");
+    expect_matches_oracle(streamed_sketch(t), oracle, /*exact=*/false);
+  }
+  {
+    SCOPED_TRACE("add_tensor");
+    TensorSketch streamed(t.dims());
+    streamed.add_tensor(t);
+    expect_matches_oracle(streamed, oracle, /*exact=*/false);
+  }
+  {
+    SCOPED_TRACE("apply");
+    DynamicSparseTensor dyn(share_tensor(SparseTensor(t.dims())));
+    dyn.apply(range_of(t, 0, t.nnz()));
+    expect_matches_oracle(dyn.sketch(), oracle, /*exact=*/false);
+  }
+  {
+    SCOPED_TRACE("merge of halves");
+    const TensorSketch first = TensorSketch::build(range_of(t, 0, t.nnz() / 2));
+    const TensorSketch second =
+        TensorSketch::build(range_of(t, t.nnz() / 2, t.nnz()));
+    TensorSketch merged = first;
+    merged.merge(second);
+    // The exact count survives only where the halves' slice ranges
+    // ascend (storage-order halves usually interleave them).
+    for (index_t m = 0; m < t.order(); ++m) {
+      SCOPED_TRACE("mode " + std::to_string(m));
+      const bool ascending = first.mode(m).slices().max_slice() <
+                             second.mode(m).slices().min_slice();
+      expect_matches_oracle(merged.mode(m), oracle[m], ascending);
+    }
+  }
+}
+
+/// Product of the fiber modes' extents for mode `mode` of `dims`.
+double fiber_key_space(const std::vector<index_t>& dims, index_t mode) {
+  const ModeOrder order = mode_order_for(mode, static_cast<index_t>(dims.size()));
+  double keys = 1.0;
+  for (std::size_t i = 0; i + 1 < order.size(); ++i) keys *= dims[order[i]];
+  return keys;
+}
+
+TEST(SketchIngest, MatchesOracleOnFig4) {
+  expect_bulk_matches_oracle(fig4_tensor());
+}
+
+TEST(SketchIngest, MatchesOracleWithDuplicatesAndEmptySlices) {
+  // The appended copies are stored duplicates, which every field counts
+  // once per stored entry.  Zipf slices are skewed; the sparse uniform
+  // tensor leaves most slices of every mode empty.
+  expect_bulk_matches_oracle(with_duplicates(zipf_tensor(12000, 61), 900));
+  const SparseTensor sparse =
+      with_duplicates(generate_uniform({900, 700, 500}, 400, 63), 60);
+  expect_bulk_matches_oracle(sparse);
+  const TensorSketch sketch = TensorSketch::build(sparse);
+  for (index_t m = 0; m < sparse.order(); ++m) {
+    EXPECT_LT(sketch.mode(m).num_slices(), sparse.dim(m)) << "mode " << m;
+  }
+}
+
+TEST(SketchIngest, MatchesOracleOnTwoAndFourModes) {
+  expect_bulk_matches_oracle(
+      with_duplicates(generate_uniform({30, 24, 18, 12}, 6000, 67), 300));
+  // Order 2: a fiber is its root coordinate alone.
+  expect_bulk_matches_oracle(
+      with_duplicates(generate_uniform({300, 200}, 5000, 68), 200));
+}
+
+TEST(SketchIngest, MatchesOracleAboveTheDenseSliceCap) {
+  // Mode 0's extent is past the dense cap, so its histogram is hashed;
+  // modes 1 and 2 stay dense.
+  const std::vector<index_t> dims{SliceHistogram::kDenseSliceCap + 4321, 40,
+                                  30};
+  ASSERT_GT(dims[0], SliceHistogram::kDenseSliceCap);
+  ASSERT_LE(dims[1], SliceHistogram::kDenseSliceCap);
+  expect_bulk_matches_oracle(
+      with_duplicates(generate_uniform(dims, 9000, 71), 500));
+}
+
+TEST(SketchIngest, MatchesOracleOnBothSidesOfTheFiberBitmapCap) {
+  // nnz = 4000 puts the bitmap cap at 256000 keys: modes 0 and 1 (fiber
+  // keys over modes {0, 1}: 1.2M) count exact fibers with the hash set,
+  // mode 2 (keys over {2, 0}: 20000) with the bitmap.
+  const std::vector<index_t> dims{4000, 300, 5};
+  const SparseTensor t = generate_uniform(dims, 4000, 73);
+  const double cap = static_cast<double>(ModeSketch::kFiberBitmapKeysPerNnz) *
+                     static_cast<double>(t.nnz());
+  EXPECT_GT(fiber_key_space(dims, 0), cap);
+  EXPECT_GT(fiber_key_space(dims, 1), cap);
+  EXPECT_LE(fiber_key_space(dims, 2), cap);
+  expect_bulk_matches_oracle(t);
+  // Small key spaces (every mode on the bitmap) with heavy fiber reuse.
+  const std::vector<index_t> small{12, 10, 900};
+  EXPECT_LE(fiber_key_space(small, 0), 64.0 * 3000);
+  expect_bulk_matches_oracle(generate_uniform(small, 3000, 79));
+}
+
+TEST(SketchIngest, SliceHistogramMergeMatchesOneColumnPass) {
+  // Dense and hashed histograms, merged from overlapping halves, equal
+  // one pass over the whole column.
+  for (const index_t extent : {index_t{500}, SliceHistogram::kDenseSliceCap + 1}) {
+    const SparseTensor t = generate_uniform({extent, 20, 10}, 5000, 83);
+    const std::span<const index_t> column = t.mode_indices(0);
+    SliceHistogram whole(extent);
+    whole.add_column(column);
+    SliceHistogram left(extent);
+    left.add_column(column.first(3000));
+    SliceHistogram right(extent);
+    for (const index_t s : column.subspan(3000)) right.add(s);
+    left.merge(right);
+    EXPECT_EQ(left.nnz(), whole.nnz());
+    EXPECT_EQ(left.num_slices(), whole.num_slices());
+    EXPECT_EQ(left.singleton_slices(), whole.singleton_slices());
+    EXPECT_EQ(left.max_slice_nnz(), whole.max_slice_nnz());
+    EXPECT_EQ(left.sum_sq_slice_nnz(), whole.sum_sq_slice_nnz());
+    EXPECT_EQ(left.min_slice(), whole.min_slice());
+    EXPECT_EQ(left.max_slice(), whole.max_slice());
+    const std::vector<SliceMass> a = left.slice_cdf();
+    const std::vector<SliceMass> b = whole.slice_cdf();
+    ASSERT_EQ(a.size(), b.size());
+    for (std::size_t i = 0; i < a.size(); ++i) {
+      EXPECT_EQ(a[i].slice, b[i].slice);
+      EXPECT_EQ(a[i].nnz, b[i].nnz);
+    }
+  }
+}
+
+TEST(SketchIngest, RejectsSlicesOutsideTheExtent) {
+  SliceHistogram dense(100);
+  const std::vector<index_t> column{3, 100};
+  EXPECT_THROW(dense.add_column(column), Error);
+  EXPECT_THROW(dense.add(100), Error);
+  EXPECT_EQ(dense.nnz(), 0u);
 }
 
 }  // namespace
