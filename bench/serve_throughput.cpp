@@ -157,10 +157,9 @@ struct RunRow {
   bool budget_match = true;
   // --- planning-latency accounting (BENCH_serve/v7, DESIGN.md §12) ---
   /// Total wall ms the service spent resolving upgrade policy across the
-  /// run, and the number of decisions that covers.  Sketch-backed
-  /// resolution (ServeOptions::sketch_policy, the default) reads O(S)
-  /// sketch state per decision, so this column stays flat as nnz grows;
-  /// the exact path rescans O(nnz) per decision.
+  /// run, and the number of decisions that covers.  Resolution reads
+  /// O(S) sketch state per decision, so this column stays flat as nnz
+  /// grows.
   double policy_ms = 0.0;
   std::uint64_t policy_resolutions = 0;
   std::vector<ShardTiming> shard_timings;
@@ -419,7 +418,7 @@ int main(int argc, char** argv) {
       opts.upgrade_format = upgrade;
       opts.upgrade_threshold = threshold;
       opts.storage_budget_bytes = budget_bytes;
-      MttkrpService service(opts);
+      TensorOpService service(opts);
       for (int t = 0; t < tenants; ++t) {
         service.register_tensor(tenant_name(t),
                                 share_tensor(SparseTensor(fleet[
@@ -561,7 +560,7 @@ int main(int argc, char** argv) {
       opts.shards = shards;
       opts.upgrade_format = upgrade;
       opts.upgrade_threshold = threshold;
-      MttkrpService service(opts);
+      TensorOpService service(opts);
       /// Tensor the row's lifecycle stats key on: "bench" for synthetic
       /// runs, the trace's first registered tensor for --trace runs.
       std::string stat_tensor = "bench";

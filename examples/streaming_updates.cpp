@@ -48,7 +48,7 @@ int main(int argc, char** argv) {
   opts.upgrade_threshold = 8;
   opts.compact_threshold = compact_threshold;
   opts.compact_min_nnz = 1024;
-  MttkrpService service(opts);
+  TensorOpService service(opts);
 
   std::cout << "Serving " << x.shape_string() << " (" << x.nnz()
             << " nnz) while it grows: " << rounds << " rounds of "
@@ -59,9 +59,9 @@ int main(int argc, char** argv) {
 
   std::mt19937 rng(777);
   for (int round = 0; round < rounds; ++round) {
-    std::vector<MttkrpRequest> wave(
+    std::vector<ServeRequest> wave(
         static_cast<std::size_t>(wave_size),
-        MttkrpRequest{"live", 0, factors});
+        ServeRequest{"live", 0, factors});
     auto futures = service.submit_batch(std::move(wave));
 
     SparseTensor updates(dims);
@@ -80,7 +80,7 @@ int main(int argc, char** argv) {
     std::uint64_t max_version = 0;
     offset_t max_delta = 0;
     for (auto& future : futures) {
-      MttkrpResponse r = future.get();
+      ServeResponse r = future.get();
       min_version = std::min(min_version, r.snapshot_version);
       max_version = std::max(max_version, r.snapshot_version);
       max_delta = std::max(max_delta, r.delta_nnz);
@@ -109,7 +109,7 @@ int main(int argc, char** argv) {
   // Spot-check the final snapshot against the sequential reference.
   const SparseTensor merged = snap.merged(/*coalesce=*/true);
   const DenseMatrix truth = mttkrp_reference(merged, 0, *factors);
-  const MttkrpResponse last = service.submit({"live", 0, factors}).get();
+  const ServeResponse last = service.submit({"live", 0, factors}).get();
   std::cout << "max |err| of a fresh query vs reference on the merged "
             << "tensor: " << truth.max_abs_diff(last.output) << "\n";
   return 0;

@@ -12,24 +12,6 @@
 
 namespace bcsf {
 
-DenseMatrix reduce_shard_partials(
-    index_t rows, rank_t rank,
-    std::span<const std::span<const double>> partials) {
-  std::vector<double> acc(static_cast<std::size_t>(rows) * rank, 0.0);
-  for (const std::span<const double>& partial : partials) {
-    BCSF_CHECK(partial.size() == acc.size(),
-               "reduce_shard_partials: partial has " << partial.size()
-                                                     << " entries, expected "
-                                                     << acc.size());
-    for (std::size_t i = 0; i < acc.size(); ++i) acc[i] += partial[i];
-  }
-  DenseMatrix out(rows, rank);
-  for (std::size_t i = 0; i < acc.size(); ++i) {
-    out.data()[i] = static_cast<value_t>(acc[i]);
-  }
-  return out;
-}
-
 ShardedPlan::ShardedPlan(const SparseTensor& tensor, index_t mode,
                          const PlanOptions& opts)
     : TensorOpPlan("sharded", "Sharded", mode), pool_(opts.sharding.pool) {
@@ -65,8 +47,9 @@ void ShardedPlan::build_shards(const PlanOptions& opts) {
   PlanOptions shard_opts = opts;
   shard_opts.sharding = ShardingOptions{};
 
-  disjoint_ = partition_->disjoint_slice_ranges();
-  if (disjoint_) owned_rows_ = partition_->owned_row_begins();
+  if (partition_->disjoint_slice_ranges()) {
+    owned_rows_ = partition_->owned_row_begins();
+  }
 
   const std::size_t k = partition_->size();
   plans_.resize(k);
@@ -123,7 +106,26 @@ std::string ShardedPlan::detail() const {
   return os.str();
 }
 
-void ShardedPlan::finish_report(OpResult& result, double wall) const {
+OpResult ShardedPlan::execute(const OpRequest& request) const {
+  check_request(request);
+  const std::size_t k = plans_.size();
+  ShardCombine combine(request, partition_->dims, partition_->mode, k,
+                       owned_rows_, arena_);
+  std::vector<std::function<void()>> runs;
+  runs.reserve(k);
+  for (std::size_t s = 0; s < k; ++s) {
+    runs.push_back([this, s, &combine, &request] {
+      combine.add(s, plans_[s]->execute(request));
+    });
+  }
+  Timer timer;
+  run_tasks(pool_, std::move(runs));
+  const double wall = timer.seconds();
+
+  OpResult result = combine.finish();
+  result.report.kernel =
+      (combine.windowed() ? "ShardedDisjoint x" : "Sharded x") +
+      std::to_string(k);
   if (!is_gpu()) {
     // CPU shards overlap on the pool: the honest cost is the measured
     // wall time of the fan-out, not the sum of per-shard clocks (which
@@ -132,123 +134,7 @@ void ShardedPlan::finish_report(OpResult& result, double wall) const {
     result.report.gflops =
         wall > 0.0 ? result.report.total_flops / wall / 1e9 : 0.0;
   }
-}
-
-OpResult ShardedPlan::execute_disjoint(const OpRequest& request) const {
-  const std::size_t k = plans_.size();
-  const rank_t rank =
-      request.kind == OpKind::kTtv ? 1 : request.factors->front().cols();
-  OpResult result;
-  result.output = DenseMatrix(partition_->dims[mode()], rank);
-
-  std::vector<SimReport> reports(k);
-  std::vector<std::function<void()>> runs;
-  runs.reserve(k);
-  for (std::size_t s = 0; s < k; ++s) {
-    runs.push_back([this, s, rank, &reports, &result, &request] {
-      OpResult r = plans_[s]->execute(request);
-      reports[s] = std::move(r.report);
-      // Shard s produced nonzero rows ONLY inside its owned window (its
-      // slice range; disjoint by construction), so moving that float
-      // window into the shared output is the whole combine step -- the
-      // single cast already happened inside the inner plan, and no other
-      // shard touches these rows (TSan-checked in the race suites).
-      const std::size_t begin =
-          static_cast<std::size_t>(owned_rows_[s]) * rank;
-      const std::size_t end =
-          static_cast<std::size_t>(owned_rows_[s + 1]) * rank;
-      const auto src = r.output.data();
-      const auto dst = result.output.data();
-      std::copy(src.begin() + begin, src.begin() + end, dst.begin() + begin);
-    });
-  }
-  Timer timer;
-  run_tasks(pool_, std::move(runs));
-  const double wall = timer.seconds();
-
-  for (std::size_t s = 0; s < k; ++s) {
-    if (s == 0) {
-      result.report = std::move(reports[s]);
-    } else {
-      result.report += reports[s];
-    }
-  }
-  result.report.kernel = "ShardedDisjoint x" + std::to_string(k);
-  finish_report(result, wall);
   return result;
-}
-
-OpResult ShardedPlan::execute_merge(const OpRequest& request) const {
-  const std::size_t k = plans_.size();
-  std::vector<Partial> partials(k);
-  std::vector<std::function<void()>> runs;
-  runs.reserve(k);
-  for (std::size_t s = 0; s < k; ++s) {
-    runs.push_back([this, s, &partials, &request] {
-      OpResult r = plans_[s]->execute(request);
-      Partial& partial = partials[s];
-      partial.report = std::move(r.report);
-      partial.scalar = r.scalar;
-      if (request.kind != OpKind::kFit) {
-        // Arena-leased promote: the buffer comes back from reuse with
-        // stale contents and is fully overwritten here.
-        const auto data = r.output.data();
-        partial.acc = ScratchLease(arena_, data.size());
-        std::copy(data.begin(), data.end(), partial.acc.get().begin());
-      }
-    });
-  }
-  Timer timer;
-  run_tasks(pool_, std::move(runs));
-  const double wall = timer.seconds();
-
-  OpResult result;
-  bool first = true;
-  for (Partial& partial : partials) {
-    if (first) {
-      result.report = std::move(partial.report);
-      first = false;
-    } else {
-      result.report += partial.report;
-    }
-  }
-  result.report.kernel = "Sharded x" + std::to_string(k);
-
-  if (request.kind == OpKind::kFit) {
-    // Partial inner products reduce in double; nothing to cast.
-    for (const Partial& partial : partials) result.scalar += partial.scalar;
-  } else {
-    // Matrix ops: sum the shards' double partials, cast back to float
-    // ONCE -- the whole sharded op rounds at a single boundary, matching
-    // the reference kernels' promote-once contract.
-    const rank_t rank =
-        request.kind == OpKind::kTtv ? 1 : request.factors->front().cols();
-    std::vector<std::span<const double>> accs;
-    accs.reserve(k);
-    for (const Partial& partial : partials) {
-      accs.emplace_back(partial.acc.get());
-    }
-    result.output =
-        reduce_shard_partials(partition_->dims[mode()], rank, accs);
-  }
-  finish_report(result, wall);
-  return result;
-}
-
-OpResult ShardedPlan::execute(const OpRequest& request) const {
-  check_request(request);
-  if (plans_.size() == 1) {
-    // Monolithic pass-through: no partial, no reduce -- the inner plan's
-    // arithmetic verbatim (bitwise what the old single-shard reduce
-    // produced, since float -> double -> float round-trips exactly).
-    OpResult result = plans_.front()->execute(request);
-    result.report.kernel = "Sharded x1";
-    return result;
-  }
-  if (request.kind != OpKind::kFit && disjoint_output(request.mode)) {
-    return execute_disjoint(request);
-  }
-  return execute_merge(request);
 }
 
 PlanRunResult ShardedPlan::run(const std::vector<DenseMatrix>& factors) const {

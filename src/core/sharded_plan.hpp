@@ -5,21 +5,20 @@
 // mode with tensor/partitioner.hpp, builds one inner plan per shard --
 // IN PARALLEL when ShardingOptions::pool is set, with the calling thread
 // participating so nested use from a pool task cannot deadlock -- and
-// executes every op of the protocol as per-shard runs reduced into one
-// result.  All three ops are linear in the tensor values and the shards
+// executes every op of the protocol as per-shard runs combined into one
+// result by core/shard_combine.hpp, the combine the serving layer uses
+// too.  All three ops are linear in the tensor values and the shards
 // partition the nonzeros, so
 //
 //     op(tensor) = sum over shards of op(shard)
 //
-// is exact; matrix partials and FIT partial inner products are reduced
-// in double with a single cast back to float.  When the REQUEST mode is
-// the partition mode and no slice was split, the reduce disappears
-// entirely: shard slice ranges are then disjoint output rows, so each
-// shard writes its own [begin, end) row window of one shared output
-// (the disjoint-output path; the merge path serves the other modes from
-// pooled scratch buffers).  Because each shard runs
-// the inner format's own factory, "auto" per shard mixes formats: dense
-// shard cores go to B-CSF/HB-CSF while sparse tails stay COO.
+// is exact.  Rows with one owning shard (every row with one shard, and
+// the partition mode's rows when no slice was split) are written as
+// row windows of one shared output; shared rows reduce in double with a
+// single cast back, and FIT partial inner products sum in double.
+// Because each shard runs the inner format's own factory, "auto" per
+// shard mixes formats: dense shard cores go to B-CSF/HB-CSF while
+// sparse tails stay COO.
 //
 // What shards buy (the paper's load-balance argument, one level up):
 //   * build latency -- K builds of nnz/K each, run concurrently, beat one
@@ -32,23 +31,15 @@
 #pragma once
 
 #include <memory>
-#include <span>
 #include <string>
 #include <vector>
 
+#include "core/shard_combine.hpp"
 #include "core/tensor_op_plan.hpp"
 #include "tensor/partitioner.hpp"
 #include "util/scratch_arena.hpp"
 
 namespace bcsf {
-
-/// Sums per-shard double partials (each row-major rows x rank) into one
-/// float matrix with a SINGLE cast back -- the §8 cross-shard reduction
-/// contract, shared by ShardedPlan and the sharded serving path so the
-/// two can never drift.  Exact wherever the partials are (linearity).
-/// Spans, not vectors: partials may live in pooled arena buffers.
-DenseMatrix reduce_shard_partials(
-    index_t rows, rank_t rank, std::span<const std::span<const double>> partials);
 
 class ShardedPlan final : public TensorOpPlan {
  public:
@@ -74,11 +65,12 @@ class ShardedPlan final : public TensorOpPlan {
   std::size_t shard_count() const { return plans_.size(); }
   const TensorPartition& partition() const { return *partition_; }
   /// True when a matrix op on `request_mode` takes the DISJOINT-OUTPUT
-  /// path (§8): the request's output mode is the partition mode and no
-  /// slice was split, so each shard owns a private row range of the
+  /// (window) path (§8): one shard, or the partition mode of a partition
+  /// with no split slice, so each shard owns a private row range of the
   /// output and writes it directly -- no partials, no K-way reduce.
   bool disjoint_output(index_t request_mode) const {
-    return plans_.size() > 1 && disjoint_ && request_mode == partition_->mode;
+    return ShardCombine::one_owner_per_row(plans_.size(), owned_rows_,
+                                           request_mode, partition_->mode);
   }
   /// Resolved inner format per shard ("auto" never leaks).
   std::vector<std::string> shard_formats() const;
@@ -91,27 +83,17 @@ class ShardedPlan final : public TensorOpPlan {
   std::size_t scratch_pooled() const { return arena_.pooled(); }
 
  private:
-  /// One shard's double-precision partial for a matrix-valued op.  The
-  /// acc buffer is LEASED from arena_ per call and returns to it when the
-  /// partial dies -- after the reduce, or when a sibling shard threw --
-  /// so steady-state execution allocates nothing.
-  struct Partial {
-    ScratchLease acc;
-    double scalar = 0.0;
-    SimReport report;
-  };
-
   void build_shards(const PlanOptions& opts);
-  OpResult execute_disjoint(const OpRequest& request) const;
-  OpResult execute_merge(const OpRequest& request) const;
-  void finish_report(OpResult& result, double wall) const;
 
   PartitionPtr partition_;
   std::vector<std::shared_ptr<const TensorOpPlan>> plans_;  // one per shard
   ThreadPool* pool_ = nullptr;  // non-owning; null = sequential execution
-  bool disjoint_ = false;       // no slice split: row ranges are private
-  index_vec owned_rows_;        // K+1 ownership table (owned_row_begins)
-  mutable ScratchArena arena_;  // thread-safe; execute() is const+concurrent
+  /// K+1 ownership table (owned_row_begins) when no slice was split, so
+  /// partition-mode rows are private; empty otherwise.
+  index_vec owned_rows_;
+  /// Combine scratch (merge partials, delta windows); thread-safe, since
+  /// execute() is const and concurrent.
+  mutable ScratchArena arena_;
 };
 
 }  // namespace bcsf

@@ -60,19 +60,14 @@ void mttkrp_delta_accumulate(const SparseTensor& delta, index_t mode,
                              DenseMatrix& inout);
 
 /// Double-accumulator variant for callers already holding a promoted
-/// buffer (`acc` is row-major dims[mode] x R): adds every chunk's MTTKRP
-/// terms with NO float rounding at all.  The sharded serving path sweeps
-/// each shard's delta into the shard's double partial this way, so a
-/// whole K-shard response rounds at exactly one float boundary when the
-/// partials are reduced (DESIGN.md §8).
-void mttkrp_delta_accumulate(std::span<const TensorPtr> deltas, index_t mode,
-                             const std::vector<DenseMatrix>& factors,
-                             std::span<double> acc);
-
-/// Row-window variant for the disjoint-output serving path (DESIGN.md
-/// §8): `acc` covers only output rows [row_begin, row_begin +
-/// acc.size()/R) of the mode-`mode` result.  Every delta coordinate must
-/// fall inside the window -- the sharded service routes update batches by
+/// buffer: adds every chunk's MTTKRP terms with NO float rounding at all
+/// into `acc`, which covers output rows [row_begin, row_begin +
+/// acc.size()/R) of the mode-`mode` result (row-major; row_begin = 0
+/// and dims[mode] rows for the whole output).  The shard combine
+/// (core/shard_combine.hpp) sweeps each shard's delta into its double
+/// partial or owned row window this way, so a K-shard response rounds at
+/// one float boundary (DESIGN.md §8).  Every delta coordinate must fall
+/// inside the window -- the sharded service routes update batches by
 /// slice range, so an out-of-window row means routing drifted from shard
 /// ownership and the call throws rather than corrupt a neighbor's rows.
 void mttkrp_delta_accumulate(std::span<const TensorPtr> deltas, index_t mode,

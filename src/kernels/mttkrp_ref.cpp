@@ -55,24 +55,6 @@ DenseMatrix mttkrp_reference(const SparseTensor& tensor, index_t mode,
 
 void mttkrp_delta_accumulate(std::span<const TensorPtr> deltas, index_t mode,
                              const std::vector<DenseMatrix>& factors,
-                             std::span<double> acc) {
-  offset_t total = 0;
-  for (const TensorPtr& chunk : deltas) {
-    BCSF_CHECK(chunk != nullptr, "mttkrp_delta_accumulate: null chunk");
-    total += chunk->nnz();
-  }
-  if (total == 0) return;
-  const rank_t rank = factors.front().cols();
-  BCSF_CHECK(acc.size() ==
-                 static_cast<std::size_t>(deltas.front()->dim(mode)) * rank,
-             "mttkrp_delta_accumulate: accumulator has "
-                 << acc.size() << " entries, expected "
-                 << deltas.front()->dim(mode) << " x " << rank);
-  mttkrp_delta_accumulate(deltas, mode, factors, acc, /*row_begin=*/0);
-}
-
-void mttkrp_delta_accumulate(std::span<const TensorPtr> deltas, index_t mode,
-                             const std::vector<DenseMatrix>& factors,
                              std::span<double> acc, index_t row_begin) {
   offset_t total = 0;
   for (const TensorPtr& chunk : deltas) {
@@ -145,7 +127,8 @@ void mttkrp_delta_accumulate(std::span<const TensorPtr> deltas, index_t mode,
   // rounds at exactly one float boundary, like the reference would on
   // the concatenated nonzero stream seeded with inout.
   std::vector<double> acc(inout.data().begin(), inout.data().end());
-  mttkrp_delta_accumulate(deltas, mode, factors, std::span<double>(acc));
+  mttkrp_delta_accumulate(deltas, mode, factors, std::span<double>(acc),
+                          /*row_begin=*/0);
   for (std::size_t i = 0; i < acc.size(); ++i) {
     inout.data()[i] = static_cast<value_t>(acc[i]);
   }

@@ -81,24 +81,9 @@ DenseMatrix ttv_coo_cpu(const SparseTensor& tensor, const CooSliceOrder& order,
 
 void ttv_delta_accumulate(std::span<const TensorPtr> deltas, index_t mode,
                           const std::vector<DenseMatrix>& vectors,
-                          DenseMatrix& inout) {
-  // Rank-1 multi-TTV IS mode-`mode` MTTKRP of rank-1 factors; the delta
-  // sweep shares the promote-once/cast-once contract with the MTTKRP
-  // variant, so delegating keeps the two paths bitwise-identical.
-  if (!deltas.empty()) check_vectors(deltas.front()->dims(), vectors);
-  mttkrp_delta_accumulate(deltas, mode, vectors, inout);
-}
-
-void ttv_delta_accumulate(std::span<const TensorPtr> deltas, index_t mode,
-                          const std::vector<DenseMatrix>& vectors,
-                          std::span<double> acc) {
-  if (!deltas.empty()) check_vectors(deltas.front()->dims(), vectors);
-  mttkrp_delta_accumulate(deltas, mode, vectors, acc);
-}
-
-void ttv_delta_accumulate(std::span<const TensorPtr> deltas, index_t mode,
-                          const std::vector<DenseMatrix>& vectors,
                           std::span<double> acc, index_t row_begin) {
+  // Rank-1 multi-TTV IS mode-`mode` MTTKRP of rank-1 factors; delegating
+  // keeps the two sweeps bitwise-identical.
   if (!deltas.empty()) check_vectors(deltas.front()->dims(), vectors);
   mttkrp_delta_accumulate(deltas, mode, vectors, acc, row_begin);
 }

@@ -50,24 +50,10 @@ struct CooSliceOrder;  // kernels/mttkrp.hpp
 DenseMatrix ttv_coo_cpu(const SparseTensor& tensor, const CooSliceOrder& order,
                         const std::vector<DenseMatrix>& vectors);
 
-/// Adds the multi-TTV contribution of frozen COO delta chunks into
-/// `inout` (dims[mode] x 1, typically a base plan's output).  Promotes
-/// once, sweeps every chunk, casts back once -- exactly the
+/// Adds the multi-TTV terms of frozen COO delta chunks into `acc`, which
+/// covers rows [row_begin, row_begin + acc.size()) of the mode-`mode`
+/// result, with no float rounding -- exactly the windowed
 /// mttkrp_delta_accumulate contract at rank 1.
-void ttv_delta_accumulate(std::span<const TensorPtr> deltas, index_t mode,
-                          const std::vector<DenseMatrix>& vectors,
-                          DenseMatrix& inout);
-
-/// Double-accumulator variant (`acc` has dims[mode] entries): adds every
-/// chunk's multi-TTV terms with no float rounding, mirroring the
-/// mttkrp_delta_accumulate span overload for the sharded serving path.
-void ttv_delta_accumulate(std::span<const TensorPtr> deltas, index_t mode,
-                          const std::vector<DenseMatrix>& vectors,
-                          std::span<double> acc);
-
-/// Row-window variant (`acc` covers rows [row_begin, row_begin +
-/// acc.size()) of the mode-`mode` result), mirroring the windowed
-/// mttkrp_delta_accumulate for the disjoint-output serving path.
 void ttv_delta_accumulate(std::span<const TensorPtr> deltas, index_t mode,
                           const std::vector<DenseMatrix>& vectors,
                           std::span<double> acc, index_t row_begin);

@@ -9,9 +9,6 @@
 #include <utility>
 
 #include "core/auto_policy.hpp"
-#include "core/sharded_plan.hpp"
-#include "kernels/mttkrp.hpp"
-#include "kernels/ttv_fit.hpp"
 #include "util/error.hpp"
 #include "util/logging.hpp"
 #include "util/timer.hpp"
@@ -67,7 +64,7 @@ void TensorOpService::register_tensor(const std::string& name,
   // partitioner cuts against the slice-mass CDF, replacing the register
   // path's O(nnz log nnz) sort.  A fixed single shard reads neither.
   SliceHistogram reg_slices(tensor->dim(opts_.shard_mode));
-  if (opts_.sketch_policy && opts_.shards != 1) {
+  if (sketch_policy_ && opts_.shards != 1) {
     reg_slices.add_column(tensor->mode_indices(opts_.shard_mode));
   }
 
@@ -80,23 +77,22 @@ void TensorOpService::register_tensor(const std::string& name,
       opts_.shards == 0
           ? auto_shard_count(tensor->nnz(), tensor->dim(opts_.shard_mode),
                              AutoPolicyOptions{},
-                             opts_.sketch_policy ? reg_slices.max_slice_nnz()
-                                                 : offset_t{0})
+                             sketch_policy_ ? reg_slices.max_slice_nnz()
+                                            : offset_t{0})
           : opts_.shards;
   auto state = std::make_unique<TensorState>();
   state->name = name;
   state->dims = tensor->dims();
   state->partition_mode = opts_.shard_mode;
   if (want <= 1) {
-    // Monolithic fast path: one shard covering every slice, no partition
-    // copy -- bit-for-bit the pre-§8 service.
+    // Monolithic: one shard covering every slice, no partition copy.
     state->route_begin.push_back(0);
     state->shards.push_back(std::make_unique<ShardState>(
         std::move(tensor), opts_.plan, 0, state->dims[opts_.shard_mode],
         opts_.build_fn, opts_.heat_decay));
   } else {
     const TensorPartition partition =
-        opts_.sketch_policy
+        sketch_policy_
             ? partition_tensor(*tensor, opts_.shard_mode, want, reg_slices)
             : partition_tensor(*tensor, opts_.shard_mode, want);
     BCSF_INFO << "TensorOpService: tensor '" << name << "' -> "
@@ -104,8 +100,9 @@ void TensorOpService::register_tensor(const std::string& name,
     // Unsplit slice ranges make partition-mode output rows private per
     // shard -- the disjoint-output serving path; a split (overlapping)
     // partition falls back to the merge path for every mode.
-    state->disjoint = partition.disjoint_slice_ranges();
-    if (state->disjoint) state->owned_begin = partition.owned_row_begins();
+    if (partition.disjoint_slice_ranges()) {
+      state->owned_begin = partition.owned_row_begins();
+    }
     for (const TensorShard& shard : partition.shards) {
       state->route_begin.push_back(shard.slice_begin);
       state->shards.push_back(std::make_unique<ShardState>(
@@ -202,7 +199,8 @@ std::vector<std::future<ServeResponse>> TensorOpService::submit_batch(
   for (const ServeRequest& request : batch) {
     // kStats is factor-free: it is answered from sketches, not a
     // traversal contracted against factor matrices.
-    BCSF_CHECK(request.op == OpKind::kStats || request.factors != nullptr,
+    BCSF_CHECK(request.op == OpKind::kStats ||
+                   (request.factors != nullptr && !request.factors->empty()),
                "TensorOpService: request has no factors");
     TensorState& state = state_for(request.tensor);
     BCSF_CHECK(request.mode < state.order(),
@@ -214,16 +212,20 @@ std::vector<std::future<ServeResponse>> TensorOpService::submit_batch(
 
   std::vector<std::future<ServeResponse>> futures(batch.size());
 
-  // Group the batch's multi-shard requests per tensor (submission order
-  // preserved within each group) so every group pays ONE task per shard
-  // -- the batch-amortized fan-out -- instead of K tasks per request.
+  // Group the batch's requests per tensor (submission order preserved
+  // within each group) so a sharded tensor's group pays ONE task per
+  // shard -- the batch-amortized fan-out -- instead of K tasks per
+  // request.  A single-shard tensor's requests stay a group each: one
+  // task per request, free to run in parallel on any worker, where one
+  // task for the group would run them in sequence.
   std::vector<std::pair<TensorState*, BatchPtr>> groups;
   for (std::size_t i = 0; i < batch.size(); ++i) {
     TensorState& state = *states[i];
     if (batch[i].op == OpKind::kStats) {
       // kStats never fans out, whatever the shard count: merging the
       // shards' sketches is O(S + registers) per shard, so one task
-      // answers it without touching a plan or a nonzero.
+      // answers it without touching a plan or a nonzero.  A task the
+      // stopping pool refuses runs INLINE, so the future still resolves.
       auto task = std::make_shared<std::packaged_task<ServeResponse()>>(
           [this, &state, req = std::move(batch[i])] {
             return handle_stats(state, req);
@@ -232,28 +234,16 @@ std::vector<std::future<ServeResponse>> TensorOpService::submit_batch(
       if (!pool_.try_submit([task] { (*task)(); })) (*task)();
       continue;
     }
-    if (state.shards.size() == 1) {
-      // Monolithic tensors keep the per-request path (bit-for-bit the
-      // pre-§8 service, including its scheduling).  packaged_task +
-      // try_submit instead of async(): a submit racing pool shutdown
-      // must not throw out of this loop after earlier requests were
-      // already enqueued -- a refused task runs INLINE instead, so every
-      // future the caller holds resolves to a value or a bcsf::Error.
-      auto task = std::make_shared<std::packaged_task<ServeResponse()>>(
-          [this, &state, req = std::move(batch[i])] {
-            return handle(state, req);
-          });
-      futures[i] = task->get_future();
-      if (!pool_.try_submit([task] { (*task)(); })) (*task)();
-      continue;
-    }
     auto item = std::make_unique<BatchItem>();
     item->request = std::move(batch[i]);
     futures[i] = item->promise.get_future();
-    auto group = std::find_if(groups.begin(), groups.end(),
-                              [&state](const auto& g) {
-                                return g.first == &state;
-                              });
+    auto group = groups.end();
+    if (state.shards.size() > 1) {
+      group = std::find_if(groups.begin(), groups.end(),
+                           [&state](const auto& g) {
+                             return g.first == &state;
+                           });
+    }
     if (group == groups.end()) {
       groups.emplace_back(
           &state, std::make_shared<std::vector<std::unique_ptr<BatchItem>>>());
@@ -261,33 +251,32 @@ std::vector<std::future<ServeResponse>> TensorOpService::submit_batch(
     }
     group->second->push_back(std::move(item));
   }
-  for (auto& [state, items] : groups) dispatch_sharded(*state, items);
+  for (auto& [state, items] : groups) dispatch(*state, items);
   return futures;
 }
 
-void TensorOpService::dispatch_sharded(TensorState& state,
-                                       const BatchPtr& items) {
+void TensorOpService::dispatch(TensorState& state, const BatchPtr& items) {
   const std::size_t k = state.shards.size();
   for (auto& item_ptr : *items) {
     BatchItem& item = *item_ptr;
     item.sequence = state.calls.fetch_add(1, std::memory_order_relaxed) + 1;
     item.runs.resize(k);
     item.remaining.store(k, std::memory_order_relaxed);
-    item.disjoint = state.disjoint && item.request.op != OpKind::kFit &&
-                    item.request.mode == state.partition_mode;
-    if (item.disjoint) {
-      const rank_t rank = item.request.op == OpKind::kTtv
-                              ? 1
-                              : item.request.factors->front().cols();
-      item.output = DenseMatrix(state.dims[item.request.mode], rank);
-    }
+    OpRequest op_request;
+    op_request.kind = item.request.op;
+    op_request.mode = item.request.mode;
+    op_request.factors = item.request.factors.get();
+    op_request.lambda = item.request.lambda.get();
+    item.combine.emplace(op_request, state.dims, state.partition_mode, k,
+                         state.owned_begin, arena_);
   }
 
   // One task per (shard, batch), hinted to worker s % W: shard s's plan,
   // delta chunks, and generation state stay on one worker's cache across
   // the whole batch, and the submission cost is K total.  The hint is
   // soft -- a busy worker's queue is stealable (ThreadPool), so a slow
-  // shard never serializes the batch behind it.
+  // shard never serializes the batch behind it.  A lone shard has no
+  // siblings to keep apart, so its task goes unhinted to any worker.
   //
   // try_submit, NOT submit: a submit racing pool shutdown used to throw
   // out of this loop, stranding every promise of the items the already-
@@ -306,13 +295,7 @@ void TensorOpService::dispatch_sharded(TensorState& state,
               item.first_start = std::chrono::steady_clock::now();
             }
             try {
-              const ShardPath path =
-                  item.disjoint ? ShardPath::kDisjoint : ShardPath::kMerge;
-              item.runs[s] = handle_shard(
-                  *state.shards[s], item.request, path,
-                  item.disjoint ? &item.output : nullptr,
-                  item.disjoint ? state.owned_begin[s] : 0,
-                  item.disjoint ? state.owned_begin[s + 1] : 0);
+              item.runs[s] = handle_shard(state, item, s);
             } catch (...) {
               // First failing shard wins the flag and records the error
               // BEFORE its decrement below publishes it to the finisher.
@@ -325,7 +308,9 @@ void TensorOpService::dispatch_sharded(TensorState& state,
             }
           }
         };
-    if (!pool_.try_submit(sweep, /*affinity=*/s)) sweep();
+    const bool queued =
+        k == 1 ? pool_.try_submit(sweep) : pool_.try_submit(sweep, s);
+    if (!queued) sweep();
   }
 }
 
@@ -344,63 +329,45 @@ void TensorOpService::finalize_item(TensorState& state, BatchItem& item) {
 ServeResponse TensorOpService::reduce_item(TensorState& state,
                                            BatchItem& item) {
   const std::size_t k = state.shards.size();
-  ServeResponse response;
-  response.sequence = item.sequence;
-  response.shards = k;
-  response.op = item.request.op;
   // Measured from the FIRST shard task starting, not from dispatch:
   // dispatch-relative fan-out billed pool queue wait (every request
   // queued behind the batch inflated it), which is admission's number,
   // not the fan-out's.
-  response.fanout_ms =
+  const double fanout_ms =
       std::chrono::duration<double, std::milli>(
           std::chrono::steady_clock::now() - item.first_start)
           .count();
 
   Timer reduce_timer;
+  OpResult combined = item.combine->finish();
+  ServeResponse response;
+  response.output = std::move(combined.output);
+  response.scalar = combined.scalar;
+  response.report = std::move(combined.report);
+  response.sequence = item.sequence;
+  response.shards = k;
+  response.op = item.request.op;
   response.upgraded = true;
-  bool first = true;
-  for (ShardRun& run : item.runs) {
+  for (std::size_t s = 0; s < k; ++s) {
+    const ShardRun& run = item.runs[s];
     response.snapshot_version += run.snapshot_version;
     response.delta_nnz += run.delta_nnz;
-    response.scalar += run.scalar;
     response.upgraded = response.upgraded && run.upgraded;
-    if (first) {
-      response.report = std::move(run.report);
+    if (s == 0) {
       response.served_format = run.format;
-    } else {
-      response.report += run.report;
-      if (response.served_format != run.format) {
-        response.served_format = "mixed";
-      }
+    } else if (response.served_format != run.format) {
+      response.served_format = "mixed";
     }
-    first = false;
   }
-  response.report.kernel = "Serve x" + std::to_string(k);
   response.plan = std::move(item.runs.front().plan);
-
-  if (item.request.op == OpKind::kFit) {
-    // Scalar sum above IS the reduce; label it for the bench columns.
-    response.reduce_path = "merge";
-  } else if (item.disjoint) {
-    // Every row already sits in the shared output, written exactly once
-    // by its owning shard -- nothing left to combine.
-    response.output = std::move(item.output);
-    response.reduce_path = "disjoint";
-  } else {
-    const rank_t rank = item.request.op == OpKind::kTtv
-                            ? 1
-                            : item.request.factors->front().cols();
-    std::vector<std::span<const double>> partials;
-    partials.reserve(k);
-    for (const ShardRun& run : item.runs) partials.emplace_back(run.acc.get());
-    response.output = reduce_shard_partials(state.dims[item.request.mode],
-                                            rank, partials);
-    // No explicit release: the leases return to the arena when the runs
-    // die -- on THIS path and on every failure path alike.
-    response.reduce_path = "merge";
+  // A one-shard response carries its run as-is: the plan's own report,
+  // reduce_path "single", and no fan-out or reduce time.
+  if (k > 1) {
+    response.report.kernel = "Serve x" + std::to_string(k);
+    response.reduce_path = item.combine->windowed() ? "disjoint" : "merge";
+    response.fanout_ms = fanout_ms;
+    response.reduce_ms = reduce_timer.milliseconds();
   }
-  response.reduce_ms = reduce_timer.milliseconds();
   return response;
 }
 
@@ -572,9 +539,11 @@ std::size_t TensorOpService::shard_for_slice(const std::string& tensor,
   return route_slice(state_for(tensor), slice);
 }
 
-TensorOpService::ShardRun TensorOpService::handle_shard(
-    ShardState& shard, const ServeRequest& request, ShardPath path,
-    DenseMatrix* shared_out, index_t row_begin, index_t row_end) {
+TensorOpService::ShardRun TensorOpService::handle_shard(TensorState& state,
+                                                       BatchItem& item,
+                                                       std::size_t s) {
+  ShardState& shard = *state.shards[s];
+  const ServeRequest& request = item.request;
   // Capture (generation, snapshot) consistently: the shared lock pairs a
   // base's plans with exactly the delta chunks the base does NOT contain.
   // Everything after this block works on immutable state, so the query
@@ -615,127 +584,31 @@ TensorOpService::ShardRun TensorOpService::handle_shard(
     plan = slot.current;
     was_upgraded = slot.upgraded_flag;
   }
-  if (shard.owner != nullptr) {
-    (was_upgraded ? shard.owner->structured_served : shard.owner->coo_served)
-        .fetch_add(1, std::memory_order_relaxed);
-  }
+  (was_upgraded ? state.structured_served : state.coo_served)
+      .fetch_add(1, std::memory_order_relaxed);
 
   if (opts_.enable_upgrade && !was_upgraded) {
     maybe_launch_upgrade(shard, gen, request.mode);
   }
 
-  // Base contribution through the plan; the op protocol dispatches TTV
-  // and FIT onto the same traversal the structured build balanced.
-  OpRequest op_request;
-  op_request.kind = request.op;
-  op_request.mode = request.mode;
-  op_request.factors = request.factors.get();
-  op_request.lambda = request.lambda ? request.lambda.get() : nullptr;
-  OpResult run = plan->execute(op_request);
-
-  ShardRun out;
-  // Per-op delta sweep: every op is linear in the tensor values, so the
-  // frozen COO chunks' contribution on top of the base plan's result
+  // Base contribution through the plan (the op protocol dispatches TTV
+  // and FIT onto the same traversal the structured build balanced), plus
+  // the per-op delta sweep: every op is linear in the tensor values, so
+  // the frozen COO chunks' contribution on top of the base plan's result
   // yields the op on the shard's merged tensor.  Chunks are immutable;
-  // no lock is held.  kSingle keeps the float inout sweep (bit-for-bit
-  // the pre-§8 arithmetic); kMerge keeps the partial in DOUBLE so the
-  // cross-shard reduction casts exactly once; kDisjoint promotes only
-  // the shard's OWNED row window, sweeps its routed delta there, and
-  // casts straight into the shared output -- same single-cast boundary,
-  // no K-way reduce (rows outside the window are zero in both the
-  // shard's plan output and its routed delta, so dropping them loses
-  // exactly nothing).
-  switch (request.op) {
-    case OpKind::kMttkrp:
-    case OpKind::kTtv: {
-      const bool is_mttkrp = request.op == OpKind::kMttkrp;
-      if (path == ShardPath::kDisjoint) {
-        const rank_t rank = is_mttkrp ? request.factors->front().cols() : 1;
-        const std::size_t lo = static_cast<std::size_t>(row_begin) * rank;
-        const std::size_t hi = static_cast<std::size_t>(row_end) * rank;
-        ScratchLease lease(arena_, hi - lo);
-        std::span<double> acc(lease.get());
-        const auto data = run.output.data();
-        std::copy(data.begin() + lo, data.begin() + hi, acc.begin());
-        if (is_mttkrp) {
-          mttkrp_delta_accumulate(snap.deltas, request.mode, *request.factors,
-                                  acc, row_begin);
-        } else {
-          ttv_delta_accumulate(snap.deltas, request.mode, *request.factors,
-                               acc, row_begin);
-        }
-        const auto dst = shared_out->data();
-        for (std::size_t i = 0; i < acc.size(); ++i) {
-          dst[lo + i] = static_cast<value_t>(acc[i]);
-        }
-      } else if (path == ShardPath::kMerge) {
-        const auto data = run.output.data();
-        out.acc = ScratchLease(arena_, data.size());
-        std::copy(data.begin(), data.end(), out.acc.get().begin());
-        if (is_mttkrp) {
-          mttkrp_delta_accumulate(snap.deltas, request.mode, *request.factors,
-                                  std::span<double>(out.acc.get()));
-        } else {
-          ttv_delta_accumulate(snap.deltas, request.mode, *request.factors,
-                               std::span<double>(out.acc.get()));
-        }
-      } else if (is_mttkrp) {
-        mttkrp_delta_accumulate(snap.deltas, request.mode, *request.factors,
-                                run.output);
-      } else {
-        ttv_delta_accumulate(snap.deltas, request.mode, *request.factors,
-                             run.output);
-      }
-      break;
-    }
-    case OpKind::kFit:
-      run.scalar += fit_inner_delta(snap.deltas, *request.factors,
-                                    op_request.lambda);
-      out.scalar = run.scalar;
-      break;
-    case OpKind::kStats:
-      BCSF_CHECK(false,
-                 "handle_shard(stats): kStats is answered by handle_stats "
-                 "from the shards' sketches, never by shard fan-out");
-      break;
-  }
+  // no lock is held.
+  ShardCombine& combine = *item.combine;
+  combine.add(s, plan->execute(combine.request()), snap.deltas);
 
   maybe_launch_compaction(shard, snap);
 
+  ShardRun out;
   out.format = plan->resolved_format();
   out.plan = std::move(plan);
   out.upgraded = was_upgraded;
   out.snapshot_version = snap.version;
   out.delta_nnz = snap.delta_nnz;
-  out.report = std::move(run.report);
-  if (path == ShardPath::kSingle) out.result = std::move(run);
   return out;
-}
-
-ServeResponse TensorOpService::handle(TensorState& state,
-                                      const ServeRequest& request) {
-  // Single-shard tensors only: multi-shard requests go through the
-  // batch-amortized (shard, batch) tasks of dispatch_sharded.
-  const std::uint64_t sequence =
-      state.calls.fetch_add(1, std::memory_order_relaxed) + 1;
-
-  ServeResponse response;
-  response.sequence = sequence;
-  response.shards = 1;
-  response.op = request.op;
-  response.reduce_path = "single";
-
-  ShardRun run = handle_shard(*state.shards.front(), request,
-                              ShardPath::kSingle, nullptr, 0, 0);
-  response.output = std::move(run.result.output);
-  response.scalar = run.result.scalar;
-  response.report = std::move(run.report);
-  response.served_format = std::move(run.format);
-  response.plan = std::move(run.plan);
-  response.upgraded = run.upgraded;
-  response.snapshot_version = run.snapshot_version;
-  response.delta_nnz = run.delta_nnz;
-  return response;
 }
 
 ServeResponse TensorOpService::handle_stats(TensorState& state,
@@ -815,10 +688,10 @@ std::pair<std::string, double> TensorOpService::resolve_upgrade_policy(
     // compaction retired `gen` between capture and here, the sketch
     // describes the NEWER base; the decision lands in the retired
     // generation's slot, which the fresh generation's own resolution
-    // supersedes anyway.  The exact path scans the generation's base
-    // (the validation oracle the parity tests compare against).
+    // supersedes anyway.  The test-only exact path scans the
+    // generation's base (the oracle the parity tests compare against).
     const AutoDecision decision =
-        opts_.sketch_policy
+        sketch_policy_
             ? auto_select_format(shard.dynamic.base_sketch(), mode, policy)
             : auto_select_format(*gen.cache.tensor(), mode, policy);
     if (target == "auto") target = decision.format;
@@ -1244,7 +1117,7 @@ void TensorOpService::run_compaction(ShardState& shard, bool force) {
       // slots -- and a mode whose CARRIED traffic already clears its new
       // threshold relaunches its structured build now, instead of
       // waiting for the next request to notice.
-      if (opts_.sketch_policy && opts_.enable_upgrade) {
+      if (sketch_policy_ && opts_.enable_upgrade) {
         for (std::size_t m = 0; m < new_gen->modes.size(); ++m) {
           const index_t mode = static_cast<index_t>(m);
           auto [target, threshold] =

@@ -1,6 +1,5 @@
 // TensorOpService: the concurrent multi-op serving layer (DESIGN.md
-// §5-§8).  Known as MttkrpService before the op-generic redesign; the
-// alias below keeps that name working.
+// §5-§8).
 //
 // The paper frames format choice as an amortization problem: structured
 // formats (B-CSF / HB-CSF) pay a sort-dominated build that COO does not,
@@ -29,13 +28,15 @@
 //   * queries fan out BATCH-AMORTIZED and SHARD-AFFINE: a submitted
 //     batch becomes ONE task per (shard, batch) -- not K per request --
 //     pinned to worker s % W by affinity hint so a shard's plan/delta
-//     state stays cache-hot; the last shard to finish a request reduces
-//     and fulfills it.  Partition-mode matrix ops on an unsplit
-//     partition take the DISJOINT-OUTPUT path (each shard writes its
-//     owned row window of one shared output; no partials, no K-way
-//     reduce); other modes reduce per-shard double partials from pooled
-//     arena buffers -- exact either way, because every op in the
-//     protocol is linear in the tensor values;
+//     state stays cache-hot; the last shard to finish a request combines
+//     and fulfills it.  One path serves every shard count: a single-shard
+//     tensor's requests are simply one unhinted task each.  Shard results
+//     combine through core/shard_combine.hpp, the combine ShardedPlan
+//     uses too: rows with one owning shard (all rows with one shard, and
+//     the partition mode's rows on an unsplit partition) are written as
+//     row windows of one shared output; shared rows reduce per-shard
+//     double partials from pooled arena buffers -- exact either way,
+//     because every op in the protocol is linear in the tensor values;
 //   * update batches are SPLIT BY SLICE RANGE and routed to their
 //     shards, so a hot shard accumulates delta, upgrades, and compacts
 //     on its own clock while cold shards stay COO -- the all-or-nothing
@@ -77,10 +78,12 @@
 #include <future>
 #include <map>
 #include <memory>
+#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
 
+#include "core/shard_combine.hpp"
 #include "serve/concurrent_plan_cache.hpp"
 #include "tensor/dynamic_tensor.hpp"
 #include "tensor/partitioner.hpp"
@@ -125,10 +128,9 @@ struct ServeOptions {
   /// launch.
   offset_t compact_min_nnz = 512;
   bool enable_compaction = true;
-  /// Nnz-balanced shards per registered tensor: 1 = monolithic (the
-  /// pre-§8 behavior, bit for bit), 0 = auto_shard_count prices K from
-  /// the tensor's nnz and device saturation, K = fixed count (clamped so
-  /// every shard is non-empty).
+  /// Nnz-balanced shards per registered tensor: 1 = monolithic, 0 =
+  /// auto_shard_count prices K from the tensor's nnz and device
+  /// saturation, K = fixed count (clamped so every shard is non-empty).
   unsigned shards = 1;
   /// Mode whose slice ranges define the shards (and route update
   /// batches).  One partition serves all modes of a tensor.
@@ -151,14 +153,6 @@ struct ServeOptions {
   /// queueing many shard builds cannot starve other tenants' upgrades.
   /// 0 = one per worker.
   unsigned max_concurrent_upgrades = 2;
-  /// Sketch-backed planning (DESIGN.md §12): the upgrade policy, shard
-  /// pricing, and partition cut placement read the streaming structural
-  /// sketches DynamicSparseTensor maintains -- O(S) per decision, zero
-  /// O(nnz) rescans after registration -- and every compaction commit
-  /// re-runs the format decision from the merged base's fresh sketch.
-  /// False restores the exact sort+scan paths (the validation oracle the
-  /// parity tests compare against).
-  bool sketch_policy = true;
   /// Plan factory used by every generation's cache; tests inject
   /// counting/failing builders.  Default: FormatRegistry create.
   ConcurrentPlanCache::BuildFn build_fn;
@@ -172,9 +166,8 @@ using FactorsPtr = std::shared_ptr<const std::vector<DenseMatrix>>;
 /// FIT column weights, shared the same way.  Null = all ones.
 using LambdaPtr = std::shared_ptr<const std::vector<value_t>>;
 
-/// One serve-layer operation.  The constructor's leading parameters
-/// predate the op protocol, so MTTKRP-era initializers `{tensor, mode,
-/// factors}` keep meaning what they always did.
+/// One serve-layer operation.  `{tensor, mode, factors}` initializers
+/// name an MTTKRP.
 struct ServeRequest {
   ServeRequest() = default;
   ServeRequest(std::string tensor_name, index_t target_mode,
@@ -208,9 +201,9 @@ struct ServeResponse {
   /// is "mixed"; the delta contribution, when present, is always a COO
   /// sweep.
   std::string served_format;
-  /// The base plan of shard 0 (the only shard pre-§8).  Holding it is
-  /// safe after the service dies (it pins its snapshot); comparing
-  /// pointers across responses observes the async upgrade swap.
+  /// The base plan of shard 0.  Holding it is safe after the service
+  /// dies (it pins its snapshot); comparing pointers across responses
+  /// observes the async upgrade swap.
   SharedPlan plan;
   std::uint64_t sequence = 0;  ///< 1-based per-tensor call number
   /// True once EVERY shard served this response from its structured
@@ -234,27 +227,24 @@ struct ServeResponse {
   /// final output row's error bound).  0 for matrix-valued ops.
   double scalar = 0.0;
   /// How the per-shard contributions were combined into `output`:
-  /// "single" (one shard, nothing to combine), "disjoint" (each shard
-  /// wrote its owned row window of the shared output directly --
-  /// partition-mode matrix ops on an unsplit partition), or "merge"
-  /// (per-shard double partials K-way reduced with one cast).
+  /// "single" (one shard: its run as-is, with the plan's own report),
+  /// "disjoint" (each shard wrote its owned row window of the shared
+  /// output directly -- partition-mode matrix ops on an unsplit
+  /// partition), or "merge" (per-shard double partials K-way reduced
+  /// with one cast; FIT scalars summed in double).
   std::string reduce_path = "single";
   /// Wall ms from the FIRST shard task starting on this request until
   /// the LAST shard finished its contribution (kernel + delta sweep
   /// across the fan-out).  Pool queue wait ahead of the batch is
   /// EXCLUDED: billing it here made fan-out look slower the busier the
   /// pool was, which poisoned the bench's fan-out column.  0 for
-  /// single-shard tensors.
+  /// single-shard tensors, which have no fan-out.
   double fanout_ms = 0.0;
   /// Wall ms spent combining the per-shard contributions into the
   /// response (the K-way reduce on the merge path; metadata-only on the
   /// disjoint path).  0 for single-shard tensors.
   double reduce_ms = 0.0;
 };
-
-/// Back-compat aliases from the MTTKRP-only era.
-using MttkrpRequest = ServeRequest;
-using MttkrpResponse = ServeResponse;
 
 class TensorOpService {
  public:
@@ -377,9 +367,8 @@ class TensorOpService {
     return policy_resolutions_.load(std::memory_order_relaxed);
   }
   /// Wall seconds spent inside those resolutions -- the planning-latency
-  /// numerator of bench serve_throughput's policy_ms column.  With
-  /// ServeOptions::sketch_policy this stays flat in nnz (O(S) reads);
-  /// the exact path scales O(nnz log nnz) per decision.
+  /// numerator of bench serve_throughput's policy_ms column.  It stays
+  /// flat in nnz: decisions read sketches, O(S) each.
   double policy_seconds() const {
     return static_cast<double>(policy_ns_.load(std::memory_order_relaxed)) *
            1e-9;
@@ -429,13 +418,18 @@ class TensorOpService {
   /// Worker pool width (admission watermarks default to a multiple).
   std::size_t workers() const { return pool_.size(); }
   /// Scratch buffers parked on the arena freelist.  Tests assert every
-  /// merge-path lease returns here even when a shard or the reduce
+  /// combine lease returns here even when a shard, a build or the reduce
   /// throws.
   std::size_t scratch_pooled() const { return arena_.pooled(); }
 
   const ServeOptions& options() const { return opts_; }
 
  private:
+  /// Test-only access (tests/): switches a fresh service, before its
+  /// first register_tensor, to the exact sort+scan planning paths -- the
+  /// validation oracle the sketch parity tests compare against.
+  friend struct TensorOpServiceTestPeer;
+
   struct ModeSlot {
     mutable Mutex m;
     /// Serving delegate; swapped by the upgrade task.
@@ -526,14 +520,12 @@ class TensorOpService {
     /// shards[s]'s slice_begin, ascending -- the routing table
     /// (partitioner's shard_for_slice rule over frozen ranges).
     std::vector<index_t> route_begin;
-    /// True when the partition's slice ranges are pairwise disjoint (no
-    /// heavy slice split): partition-mode matrix ops take the
-    /// disjoint-output path.  Always false for single-shard tensors
-    /// (they have nothing to combine at all).
-    bool disjoint = false;
     /// K+1 output-row ownership table (partitioner's owned_row_begins):
     /// shard s owns partition-mode output rows [owned_begin[s],
-    /// owned_begin[s+1]).  Populated only when `disjoint`.
+    /// owned_begin[s+1]).  Populated only when the partition's slice
+    /// ranges are pairwise disjoint (no heavy slice split), so
+    /// partition-mode matrix ops take the disjoint-output path; empty for
+    /// single-shard tensors, whose one shard owns every row anyway.
     std::vector<index_t> owned_begin;
     // unique_ptr: ShardState holds mutexes/atomics (immovable) and worker
     // tasks hold ShardState& across generations.
@@ -548,47 +540,27 @@ class TensorOpService {
     index_t order() const { return static_cast<index_t>(dims.size()); }
   };
 
-  /// How handle_shard materializes a shard's contribution.
-  enum class ShardPath {
-    kSingle,    ///< one-shard tensor: finished float result (pre-§8 bits)
-    kMerge,     ///< double partial in an arena buffer, K-way reduced
-    kDisjoint,  ///< float rows written straight into the shared output
-  };
-
-  /// One shard's contribution to a response, produced by handle_shard.
+  /// One shard's serving metadata for a response, produced by
+  /// handle_shard; its numeric contribution goes into the item's combine.
   struct ShardRun {
     SharedPlan plan;
     std::string format;
     bool upgraded = false;
     std::uint64_t snapshot_version = 0;
     offset_t delta_nnz = 0;
-    SimReport report;
-    /// kSingle: the finished float result (identical arithmetic to the
-    /// pre-§8 service).
-    OpResult result;
-    /// kMerge (matrix ops): double partial = plan output promoted +
-    /// delta terms, reduced across shards with ONE cast.  Held as an
-    /// arena LEASE, not a raw buffer: the partial returns to the pool
-    /// when the ShardRun dies -- including the failure paths (a sibling
-    /// shard threw, the reduce threw) that used to leak the raw vector
-    /// out of the arena.
-    ScratchLease acc;
-    double scalar = 0.0;
   };
 
   /// One request of a shard-affine batch: the per-request slots the K
   /// (shard, batch) tasks fill concurrently.  The LAST shard to finish a
-  /// request reduces and fulfills the promise (remaining hits 0), so a
+  /// request combines and fulfills the promise (remaining hits 0), so a
   /// batch pays K task submissions TOTAL instead of K per request.
   struct BatchItem {
     ServeRequest request;
     std::uint64_t sequence = 0;
     std::promise<ServeResponse> promise;
-    bool disjoint = false;  ///< takes the disjoint-output path
-    /// Preallocated shared output for the disjoint path; shard s writes
-    /// rows [owned_begin[s], owned_begin[s+1]) and nobody else touches
-    /// them (TSan-checked in the race suites).
-    DenseMatrix output;
+    /// Folds the shards' results together; its leases return to arena_
+    /// when the item dies, on the failure paths too.
+    std::optional<ShardCombine> combine;
     /// Stamped by the FIRST shard task to reach this item (exchange
     /// winner); fanout_ms measures from here so pool queue wait ahead
     /// of the batch is not billed as fan-out.  The stamp publishes to
@@ -604,26 +576,22 @@ class TensorOpService {
 
   TensorState& state_for(const std::string& name) const;
   std::size_t route_slice(const TensorState& state, index_t slice) const;
-  ServeResponse handle(TensorState& state, const ServeRequest& request);
   /// Answers a kStats request by merging the shards' sketches -- O(S +
   /// registers) per shard, never a nonzero touched, no plan, no fan-out.
   ServeResponse handle_stats(TensorState& state, const ServeRequest& request);
-  /// Runs one shard's (capture, count, execute, delta-sweep) sequence.
-  /// kDisjoint additionally needs the shared output and the shard's
-  /// owned row window; the other paths ignore those arguments.
-  ShardRun handle_shard(ShardState& shard, const ServeRequest& request,
-                        ShardPath path, DenseMatrix* shared_out,
-                        index_t row_begin, index_t row_end);
-  /// Submits K (shard, batch) tasks -- one per shard with affinity hint
-  /// s, each sweeping the WHOLE batch for its shard.
-  void dispatch_sharded(TensorState& state, const BatchPtr& items);
-  /// Called by the last shard task to finish `item`: reduce + fulfill.
+  /// Runs shard `s`'s (capture, count, execute, delta-sweep) sequence
+  /// for `item`, folding its result into the item's combine.
+  ShardRun handle_shard(TensorState& state, BatchItem& item, std::size_t s);
+  /// Submits K (shard, batch) tasks -- one per shard, each sweeping the
+  /// WHOLE batch for its shard, hinted to worker s when K > 1.
+  void dispatch(TensorState& state, const BatchPtr& items);
+  /// Called by the last shard task to finish `item`: combine + fulfill.
   void finalize_item(TensorState& state, BatchItem& item);
   ServeResponse reduce_item(TensorState& state, BatchItem& item);
   /// Computes (target format, threshold) for a mode of one generation's
   /// base; runs the §V policy when the options defer to it -- from the
-  /// shard's streaming base sketch (O(S)) under ServeOptions::
-  /// sketch_policy, else from an O(nnz log nnz) scan of the base.
+  /// shard's streaming base sketch (O(S)), or from an O(nnz log nnz)
+  /// scan of the base on the test-only exact path.
   /// Called with NO lock held; wall time feeds policy_seconds().
   std::pair<std::string, double> resolve_upgrade_policy(
       const ShardState& shard, const Generation& gen, index_t mode) const;
@@ -678,8 +646,15 @@ class TensorOpService {
   void run_reclaim() BCSF_EXCLUDES(reclaim_mutex_);
 
   ServeOptions opts_;
-  /// Pooled double buffers for merge-path partials and disjoint-path row
-  /// windows: steady-state sharded traffic allocates no partials.
+  /// Sketch-backed planning (DESIGN.md §12): the upgrade policy, shard
+  /// pricing, and partition cut placement read the streaming structural
+  /// sketches DynamicSparseTensor maintains -- O(S) per decision, zero
+  /// O(nnz) rescans after registration -- and every compaction commit
+  /// re-runs the format decision from the merged base's fresh sketch.
+  /// Only TensorOpServiceTestPeer clears it, before registration.
+  bool sketch_policy_ = true;
+  /// Pooled double buffers for merge-path partials and delta-swept row
+  /// windows: steady-state traffic allocates no partials.
   mutable ScratchArena arena_;
   /// Structured-plan bytes vs the hard budget (pre-charge admission
   /// keeps resident <= budget); delta-chunk bytes tracked separately
@@ -718,9 +693,5 @@ class TensorOpService {
   // states their tasks reference go away.
   ThreadPool pool_;
 };
-
-/// Back-compat alias from the MTTKRP-only era; new code should say
-/// TensorOpService.
-using MttkrpService = TensorOpService;
 
 }  // namespace bcsf

@@ -1,4 +1,4 @@
-// Dynamic-update correctness for MttkrpService (DESIGN.md §6): queries
+// Dynamic-update correctness for TensorOpService (DESIGN.md §6): queries
 // racing apply_updates and background compaction must return a result
 // BITWISE-equal to the reference MTTKRP of the merged tensor at the
 // snapshot version the response names -- a version the service held
@@ -99,14 +99,14 @@ TEST(DynamicUpdates, UpdateCompactReupgradeLifecycle) {
   opts.upgrade_threshold = 6;
   opts.compact_threshold = 0.2;
   opts.compact_min_nnz = 64;
-  MttkrpService service(opts);
+  TensorOpService service(opts);
   service.register_tensor("t", share_tensor(std::move(base)));
 
   auto run_wave = [&](int n, index_t mode) {
-    std::vector<MttkrpRequest> batch(static_cast<std::size_t>(n),
-                                     MttkrpRequest{"t", mode, factors});
+    std::vector<ServeRequest> batch(static_cast<std::size_t>(n),
+                                     ServeRequest{"t", mode, factors});
     for (auto& future : service.submit_batch(std::move(batch))) {
-      MttkrpResponse r = future.get();
+      ServeResponse r = future.get();
       EXPECT_TRUE(bitwise_equal(oracle.expected(r.snapshot_version, mode),
                                 r.output))
           << "sequence " << r.sequence << " version " << r.snapshot_version
@@ -137,7 +137,7 @@ TEST(DynamicUpdates, UpdateCompactReupgradeLifecycle) {
     // Post-upgrade, pre-compaction: responses must ride the structured
     // plan AND carry the delta.
     auto future = service.submit({"t", 0, factors});
-    MttkrpResponse r = future.get();
+    ServeResponse r = future.get();
     EXPECT_EQ(r.served_format, "bcsf");
     EXPECT_EQ(r.snapshot_version, 3u);
     EXPECT_EQ(r.delta_nnz, 300u);
@@ -172,7 +172,7 @@ TEST(DynamicUpdates, UpdateCompactReupgradeLifecycle) {
   EXPECT_EQ(service.current_format("t", 0), "bcsf");
   {
     auto future = service.submit({"t", 0, factors});
-    MttkrpResponse r = future.get();
+    ServeResponse r = future.get();
     EXPECT_EQ(r.delta_nnz, 0u) << "post-compaction serving is pure base";
     EXPECT_TRUE(bitwise_equal(oracle.expected(6, 0), r.output));
   }
@@ -206,7 +206,7 @@ TEST(DynamicUpdates, RacingQueriesUpdatesAndCompactionsStayExact) {
     opts.upgrade_threshold = 4 + trial;
     opts.compact_threshold = 0.12;
     opts.compact_min_nnz = 32;
-    MttkrpService service(opts);
+    TensorOpService service(opts);
     service.register_tensor("x", share_tensor(std::move(base)));
 
     constexpr int kQueryThreads = 4;
@@ -227,7 +227,7 @@ TEST(DynamicUpdates, RacingQueriesUpdatesAndCompactionsStayExact) {
       if (i < kQueryThreads) {
         for (int q = 0; q < kQueriesPerThread; ++q) {
           const index_t mode = static_cast<index_t>(rng() % order);
-          MttkrpResponse r = service.submit({"x", mode, factors}).get();
+          ServeResponse r = service.submit({"x", mode, factors}).get();
           observed[i].push_back(
               {mode, r.snapshot_version, std::move(r.output)});
         }
@@ -285,7 +285,7 @@ TEST(DynamicUpdates, UpdateOnlyWorkloadCompactsWithoutQueries) {
   opts.enable_upgrade = false;
   opts.compact_threshold = 0.3;
   opts.compact_min_nnz = 100;
-  MttkrpService service(opts);
+  TensorOpService service(opts);
   service.register_tensor("u", share_tensor(std::move(base)));
 
   for (int i = 0; i < 6; ++i) {
@@ -296,7 +296,7 @@ TEST(DynamicUpdates, UpdateOnlyWorkloadCompactsWithoutQueries) {
   service.wait_idle();
   EXPECT_GE(service.compaction_count("u"), 1u);
 
-  MttkrpResponse r = service.submit({"u", 1, factors}).get();
+  ServeResponse r = service.submit({"u", 1, factors}).get();
   EXPECT_TRUE(bitwise_equal(oracle.expected(r.snapshot_version, 1), r.output));
   EXPECT_EQ(r.served_format, "coo");
 }

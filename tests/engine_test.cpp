@@ -11,7 +11,7 @@
 //  * accuracy on real-valued data: signed off-grid factors, so summation
 //    order matters, and every entry stays within the fp32 forward-error
 //    bound of the double-accumulating mttkrp_reference (see
-//    forward_error_bound below).
+//    forward_error_bound in forward_error.hpp).
 #include <gtest/gtest.h>
 
 #ifdef _OPENMP
@@ -29,9 +29,12 @@
 #include <vector>
 
 #include "bcsf/bcsf.hpp"
+#include "forward_error.hpp"
 
 namespace bcsf {
 namespace {
+
+using test::forward_error_bound;
 
 const char* const kGpuKeys[] = {"gpu-csf", "bcsf", "csl", "hbcsf", "coo",
                                 "fcoo"};
@@ -162,19 +165,6 @@ std::vector<DenseMatrix> abs_copy(const std::vector<DenseMatrix>& factors) {
     for (value_t& v : m.data()) v = std::abs(v);
   }
   return out;
-}
-
-/// Per output entry (i, r): each term of the sum is x_z times order-1
-/// factor entries, rounded at most order-1 times, and a row of n_i terms
-/// is summed along a chain of at most n_i additions (in any grouping the
-/// schedule uses), so |fp32 - exact| <= gamma_{n_i + order} * sum |term|,
-/// with gamma_k = k u / (1 - k u) and u = 2^-24.  The double reference is
-/// itself rounded to fp32 once (one more u), and sum |term| is the MTTKRP
-/// of |x| and |factors|.  The 1.01 covers gamma's denominator and the
-/// fp32 rounding of that absolute MTTKRP.
-double forward_error_bound(offset_t row_nnz, index_t order, double abs_sum) {
-  const double u = std::ldexp(1.0, -24);
-  return 1.01 * static_cast<double>(row_nnz + order + 1) * u * abs_sum;
 }
 
 class EngineTest : public ::testing::TestWithParam<std::tuple<int, rank_t>> {};

@@ -3,8 +3,8 @@
 //
 // Deliberate violation: a stray single-precision accumulator in a
 // reduce path.  Shard partials accumulate in double with ONE cast back
-// to value_t inside reduce_shard_partials(); a float accumulator makes
-// sharded results diverge from unsharded ones.
+// to value_t inside ShardCombine (core/shard_combine.cpp); a float
+// accumulator makes sharded results diverge from unsharded ones.
 #include <vector>
 
 float sum_partials(const std::vector<float>& partial) {

@@ -1,8 +1,11 @@
-// Regression tests for the PR-7 serving-path bug sweep (DESIGN.md §8):
+// Regression tests for the serving-path bug sweep (DESIGN.md §8):
 //
 //   * merge-path scratch leases must return to the arena when a shard's
 //     execute throws (they used to leak: the explicit release lived only
-//     on the success path), in the service and in ShardedPlan alike;
+//     on the success path), in the service and in ShardedPlan alike --
+//     and a single-shard tensor, which takes the same dispatch path,
+//     must leave no lease or budget charge behind when its build or its
+//     kernel throws;
 //   * submit/dispatch racing a pool shutdown must resolve EVERY future
 //     with a value or a bcsf::Error -- never broken_promise (dispatch
 //     used to call the throwing submit mid-loop, stranding the promises
@@ -20,6 +23,8 @@
 #include <chrono>
 #include <future>
 #include <memory>
+#include <random>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -178,13 +183,105 @@ TEST(ServeBugs, PlanMergePathLeasesReturnWhenAShardThrows) {
       << "the sibling shards' merge-path leases leaked";
 }
 
+TEST(ServeBugs, SingleShardThrowingBuildLeavesNoLeaseOrCharge) {
+  // Every build throws, the build-free COO plan included, so no request
+  // can be answered.  Each future must carry the bcsf::Error, and the
+  // failed requests must leave the arena and the budget as they found
+  // them.
+  ServeOptions opts;
+  opts.workers = 2;
+  opts.shards = 1;
+  opts.storage_budget_bytes = std::size_t{1} << 30;
+  opts.enable_compaction = false;
+  opts.build_fn = [](const std::string& format, const SparseTensor&, index_t,
+                     const PlanOptions&) -> PlanPtr {
+    throw Error("build_fn: refusing to build '" + format + "'");
+  };
+  TensorOpService service(opts);
+
+  const std::vector<index_t> dims{32, 24, 16};
+  service.register_tensor(
+      "t", share_tensor(serve_test::exact_tensor(dims, 1500, 41)));
+  std::mt19937 rng(42);
+  service.apply_updates("t", serve_test::exact_batch(dims, 64, rng));
+  const auto factors = serve_test::exact_factors(dims, 4, 43);
+  const auto vectors = serve_test::exact_factors(dims, 1, 44);
+  const std::size_t pooled = service.scratch_pooled();
+
+  std::vector<ServeRequest> batch;
+  for (index_t mode = 0; mode < dims.size(); ++mode) {
+    batch.emplace_back("t", mode, factors, OpKind::kMttkrp);
+    batch.emplace_back("t", mode, vectors, OpKind::kTtv);
+    batch.emplace_back("t", mode, factors, OpKind::kFit);
+  }
+  for (auto& future : service.submit_batch(std::move(batch))) {
+    EXPECT_THROW(future.get(), Error);
+  }
+  service.wait_idle();
+  EXPECT_EQ(service.scratch_pooled(), pooled);
+  EXPECT_EQ(service.plan_resident_bytes(), 0u);
+  EXPECT_EQ(service.eviction_count(), 0u);
+}
+
+TEST(ServeBugs, SingleShardThrowingKernelLeavesNoLeaseOrCharge) {
+  // The one shard contains slice 0, so once the flaky upgrade lands its
+  // every execute() throws.  The priming query sweeps a delta (one
+  // window lease, pooled afterwards); the failing ones must leave the
+  // pool and the installed plan's budget charge exactly as they were.
+  ServeOptions opts;
+  opts.workers = 2;
+  opts.shards = 1;
+  opts.storage_budget_bytes = std::size_t{1} << 30;
+  opts.upgrade_format = "flaky-serve-test";
+  opts.upgrade_threshold = 1;
+  opts.enable_compaction = false;
+  TensorOpService service(opts);
+
+  const std::vector<index_t> dims{64, 32, 16};
+  SparseTensor x = serve_test::exact_tensor(dims, 4000, 51);
+  const index_t origin[] = {0, 0, 0};
+  x.push_back(origin, 1.0F);
+  service.register_tensor("t", share_tensor(std::move(x)));
+  std::mt19937 rng(52);
+  service.apply_updates("t", serve_test::exact_batch(dims, 64, rng));
+  const auto factors = serve_test::exact_factors(dims, 8, 53);
+  const auto vectors = serve_test::exact_factors(dims, 1, 54);
+
+  for (index_t mode = 0; mode < dims.size(); ++mode) {
+    const ServeResponse primed = service.submit({"t", mode, factors}).get();
+    EXPECT_EQ(primed.reduce_path, "single");
+  }
+  service.wait_idle();
+  for (index_t mode = 0; mode < dims.size(); ++mode) {
+    ASSERT_TRUE(service.upgraded("t", mode));
+  }
+  const std::size_t pooled = service.scratch_pooled();
+  const std::size_t charged = service.plan_resident_bytes();
+  EXPECT_GT(charged, 0u);
+
+  for (int round = 0; round < 3; ++round) {
+    std::vector<ServeRequest> batch;
+    for (index_t mode = 0; mode < dims.size(); ++mode) {
+      batch.emplace_back("t", mode, factors, OpKind::kMttkrp);
+      batch.emplace_back("t", mode, vectors, OpKind::kTtv);
+      batch.emplace_back("t", mode, factors, OpKind::kFit);
+    }
+    for (auto& future : service.submit_batch(std::move(batch))) {
+      EXPECT_THROW(future.get(), Error);
+    }
+    service.wait_idle();
+    EXPECT_EQ(service.scratch_pooled(), pooled) << "round " << round;
+    EXPECT_EQ(service.plan_resident_bytes(), charged) << "round " << round;
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Bug 2: dispatch racing shutdown must never strand a future.
 // ---------------------------------------------------------------------------
 
 TEST(ServeBugs, SubmitRacingShutdownResolvesEveryFuture) {
-  // Alternate shard counts so both the monolithic packaged-task path and
-  // the sharded dispatch path race the drain.
+  // Alternate shard counts so single-shard tasks (one per request) and
+  // sharded (shard, batch) tasks both race the drain.
   for (const unsigned shards : {1u, 2u, 1u, 2u}) {
     SCOPED_TRACE(shards);
     ServeOptions opts;
@@ -233,6 +330,58 @@ TEST(ServeBugs, SubmitRacingShutdownResolvesEveryFuture) {
     }
     EXPECT_EQ(resolved, kThreads * kBatches * 4);
   }
+}
+
+TEST(ServeBugs, SingleShardSubmitsRacingShutdownResolve) {
+  // One-request submits of every op on a single-shard tensor, with
+  // deltas to sweep, while another thread drains the pool: each future
+  // resolves to a response or a bcsf::Error, never a broken promise.
+  ServeOptions opts;
+  opts.workers = 2;
+  opts.shards = 1;
+  opts.upgrade_format = "bcsf";
+  opts.upgrade_threshold = 4;
+  TensorOpService service(opts);
+
+  const std::vector<index_t> dims{32, 24, 16};
+  service.register_tensor(
+      "t", share_tensor(serve_test::exact_tensor(dims, 1500, 61)));
+  std::mt19937 rng(62);
+  service.apply_updates("t", serve_test::exact_batch(dims, 64, rng));
+  const auto factors = serve_test::exact_factors(dims, 4, 63);
+  const auto vectors = serve_test::exact_factors(dims, 1, 64);
+
+  constexpr int kThreads = 3;
+  constexpr int kRequests = 40;
+  std::vector<std::vector<std::future<ServeResponse>>> futures(kThreads);
+  serve_test::run_threads(kThreads + 1, [&](int ti) {
+    if (ti == kThreads) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(2));
+      service.shutdown();
+      return;
+    }
+    for (int i = 0; i < kRequests; ++i) {
+      const OpKind op = kAllOps[static_cast<std::size_t>(i) % kAllOps.size()];
+      const index_t mode = static_cast<index_t>((ti + i) % dims.size());
+      futures[ti].push_back(service.submit(
+          {"t", mode, op == OpKind::kTtv ? vectors : factors, op}));
+    }
+  });
+
+  int resolved = 0;
+  for (auto& per_thread : futures) {
+    for (auto& f : per_thread) {
+      try {
+        EXPECT_GT(f.get().sequence, 0u);
+        ++resolved;
+      } catch (const Error&) {
+        ++resolved;
+      } catch (const std::future_error& e) {
+        ADD_FAILURE() << "stranded future (broken promise): " << e.what();
+      }
+    }
+  }
+  EXPECT_EQ(resolved, kThreads * kRequests);
 }
 
 // ---------------------------------------------------------------------------

@@ -1,5 +1,5 @@
 // Shared helpers for the serving-layer test suites (concurrent_cache_test,
-// serve_property_test, dynamic_update_test, mixed_op_serve_test).
+// serve_property_test, dynamic_update_test, mixed_op_serve_test, ...).
 #pragma once
 
 #include <algorithm>
@@ -15,6 +15,7 @@
 #include <gtest/gtest.h>
 
 #include "linalg/dense_matrix.hpp"
+#include "serve/tensor_op_service.hpp"
 #include "tensor/generator.hpp"
 #include "tensor/sparse_tensor.hpp"
 #include "util/types.hpp"
@@ -130,3 +131,19 @@ inline ::testing::AssertionResult bitwise_equal(const DenseMatrix& expected,
 }
 
 }  // namespace bcsf::serve_test
+
+namespace bcsf {
+
+/// Test-only access to TensorOpService internals (the class befriends
+/// this struct; no serving caller can reach them).
+struct TensorOpServiceTestPeer {
+  /// Switches a fresh `service` to the exact sort+scan planning paths --
+  /// shard pricing, cut placement and the upgrade policy scan the tensor
+  /// instead of reading sketches: the validation oracle the sketch parity
+  /// tests compare against.  Call before the first register_tensor.
+  static void use_exact_policy(TensorOpService& service) {
+    service.sketch_policy_ = false;
+  }
+};
+
+}  // namespace bcsf

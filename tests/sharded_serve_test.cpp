@@ -271,7 +271,7 @@ TEST(ShardedServe, UpdatesRouteToShardsAndCompactIndependently) {
 // ---------------------------------------------------------------------------
 // Hot-shard lifecycle: upgrade everywhere, compact ONE shard (its
 // generation resets to COO), observe "mixed", re-upgrade, all exact.
-// Runs on the exact-policy oracle path (sketch_policy = false): with
+// Runs on the exact-policy oracle path (use_exact_policy): with
 // sketches on, the compaction itself re-decides and re-lands the
 // structured build (DESIGN.md §12) and the "mixed" window closes before
 // wait_idle returns -- that eager lifecycle is pinned by
@@ -281,9 +281,8 @@ TEST(ShardedServe, UpdatesRouteToShardsAndCompactIndependently) {
 
 TEST(ShardedServe, HotShardCompactsAndReupgradesWhileColdStaysStructured) {
   Fixture fx(800, /*nnz=*/1400);
-  ServeOptions opts = sharded_options(2, /*threshold=*/2.0);
-  opts.sketch_policy = false;
-  TensorOpService service(opts);
+  TensorOpService service(sharded_options(2, /*threshold=*/2.0));
+  TensorOpServiceTestPeer::use_exact_policy(service);
   service.register_tensor("t", share_tensor(SparseTensor(fx.oracle)));
 
   // Phase 1: traffic upgrades BOTH shards on mode 0.

@@ -15,6 +15,7 @@
 
 #include "core/auto_policy.hpp"
 #include "serve/tensor_op_service.hpp"
+#include "serve_test_util.hpp"
 #include "tensor/generator.hpp"
 #include "tensor/sketch.hpp"
 #include "tensor/sparse_tensor.hpp"
@@ -113,8 +114,8 @@ std::uint64_t scans_during_lifecycle(bool sketch_policy) {
     opts.upgrade_threshold = 2.0;
     opts.compact_min_nnz = 64;
     opts.compact_threshold = 0.05;
-    opts.sketch_policy = sketch_policy;
     TensorOpService service(opts);
+    if (!sketch_policy) TensorOpServiceTestPeer::use_exact_policy(service);
 
     PowerLawConfig config;
     config.dims = {200, 150, 100};
