@@ -1,12 +1,14 @@
 // google-benchmark microbenchmarks of the host-side building blocks:
 // format construction, the simulator's cost walk, warm plan executes
 // through the FormatRegistry -- the arithmetic engine behind the
-// simulated formats next to the real CPU kernels -- the CPD-ALS dense
-// kernels (Gram, SPD right-solve), and sketch ingest.  These measure actual
-// wall time on this machine (unlike the simulated-GPU figures) and are
-// the numbers a downstream user cares about for preprocessing budgets and
-// serving latency.  Execute benches report GF/s with the COO flop
-// convention, order x R per nonzero (DESIGN.md §1).
+// simulated formats next to the real CPU kernels, plus a rank sweep of
+// the engine on a served tenant's shape -- the delta sweep of a served
+// answer, the CPD-ALS dense kernels (Gram, SPD right-solve), and sketch
+// ingest.  These measure actual wall time on this machine (unlike the
+// simulated-GPU figures) and are the numbers a downstream user cares
+// about for preprocessing budgets and serving latency.  Execute benches
+// report GF/s with the COO flop convention, order x R per nonzero
+// (DESIGN.md §1).
 #include <benchmark/benchmark.h>
 
 #include <chrono>
@@ -212,6 +214,95 @@ BENCHMARK_CAPTURE(BM_SketchBuild, fleet_tenant, &fleet_tenant_tensor)
     ->Unit(benchmark::kMillisecond);
 BENCHMARK_CAPTURE(BM_SketchBuild, serve_base, &serve_base_tensor)
     ->Unit(benchmark::kMillisecond);
+
+/// The fleet tenant with perfbench fleet-socket's exact-grid values (1,
+/// 1.5, ..., 3): with grid factors every sum is exact in float, as in a
+/// served tenant.
+const SparseTensor& fleet_grid_tensor() {
+  static const SparseTensor x = [] {
+    SparseTensor t = fleet_tenant_tensor();
+    for (offset_t z = 0; z < t.nnz(); ++z) {
+      t.value(z) = 1.0F + 0.5F * static_cast<value_t>(z % 5);
+    }
+    return t;
+  }();
+  return x;
+}
+
+/// Warm execute of a served tenant's mode-0 plan at the rank in
+/// state.range(0), with fleet-socket's grid factors (multiples of 0.25
+/// in [-1, 1]): ranks up to 16 run the engine's register tiles, 17 and
+/// 32 its runtime-rank loops (DESIGN.md §1).
+void BM_TenantExecute(benchmark::State& state, const char* format) {
+  const SparseTensor& x = fleet_grid_tensor();
+  const auto rank = static_cast<rank_t>(state.range(0));
+  std::vector<DenseMatrix> factors;
+  Rng rng(77);
+  for (const index_t d : x.dims()) {
+    DenseMatrix f(d, rank);
+    for (value_t& v : f.data()) {
+      v = 0.25F * (static_cast<value_t>(rng.uniform_index(9)) - 4.0F);
+    }
+    factors.push_back(std::move(f));
+  }
+  const PlanPtr plan = FormatRegistry::instance().create(format, x, 0, {});
+  benchmark::DoNotOptimize(plan->run(factors));
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(plan->run(factors));
+  }
+  set_gflop_rate(state, static_cast<double>(x.order()) * rank *
+                            static_cast<double>(x.nnz()));
+  state.SetItemsProcessed(state.iterations() * x.nnz());
+}
+void tenant_ranks(benchmark::internal::Benchmark* b) {
+  b->ArgName("rank");
+  for (const int rank : {1, 8, 16, 17, 32}) b->Arg(rank);
+  b->Unit(benchmark::kMicrosecond);
+}
+BENCHMARK_CAPTURE(BM_TenantExecute, bcsf, "bcsf")->Apply(tenant_ranks);
+BENCHMARK_CAPTURE(BM_TenantExecute, hbcsf, "hbcsf")->Apply(tenant_ranks);
+BENCHMARK_CAPTURE(BM_TenantExecute, coo, "coo")->Apply(tenant_ranks);
+
+/// The delta sweep a served answer adds to its base plan's result
+/// (DESIGN.md §6) at a serve-updates shard's shape: 25 update batches of
+/// 2000 uniform nonzeros (50k in all) over the 400x600x800 base, mode 0,
+/// rank 32, into the double row window the shard combine sweeps into.
+/// ns_per_nnz is per delta nonzero.
+void BM_DeltaSweep(benchmark::State& state) {
+  constexpr rank_t kDeltaRank = 32;
+  const std::vector<index_t>& dims = serve_base_tensor().dims();
+  std::vector<TensorPtr> deltas;
+  offset_t nnz = 0;
+  Rng rng(9);
+  for (int batch = 0; batch < 25; ++batch) {
+    SparseTensor chunk(dims);
+    std::vector<index_t> coords(dims.size());
+    for (int z = 0; z < 2000; ++z) {
+      for (std::size_t m = 0; m < dims.size(); ++m) {
+        coords[m] = rng.uniform_index(dims[m]);
+      }
+      chunk.push_back(coords, 1.0F);
+    }
+    nnz += chunk.nnz();
+    deltas.push_back(share_tensor(std::move(chunk)));
+  }
+  const std::vector<DenseMatrix> factors =
+      make_random_factors(dims, kDeltaRank, 5);
+  std::vector<double> acc(static_cast<std::size_t>(dims[0]) * kDeltaRank);
+  const auto start = std::chrono::steady_clock::now();
+  for (auto _ : state) {
+    mttkrp_delta_accumulate(deltas, 0, factors, acc, 0);
+    benchmark::DoNotOptimize(acc.data());
+    benchmark::ClobberMemory();
+  }
+  const std::chrono::duration<double, std::nano> elapsed =
+      std::chrono::steady_clock::now() - start;
+  state.SetItemsProcessed(state.iterations() * nnz);
+  state.counters["ns_per_nnz"] =
+      elapsed.count() /
+      (static_cast<double>(state.iterations()) * static_cast<double>(nnz));
+}
+BENCHMARK(BM_DeltaSweep)->Unit(benchmark::kMillisecond);
 
 /// The B-CSF cost walk alone (cache model + SM scheduler, no arithmetic):
 /// what a GPU plan pays once per rank.

@@ -82,6 +82,11 @@ class BcsfTensor {
     if (level == 0) return slice_of_fiber(f);
     return fiber_coords_[level - 1][f];
   }
+  /// fiber_coord(level, f) of every fiber segment f, for level >= 1.
+  const index_vec& fiber_coords(index_t level) const {
+    return level + 1 == csf_.node_levels() ? csf_.level_indices(level)
+                                           : fiber_coords_[level - 1];
+  }
 
   /// Number of original fibers that were split (Fig. 5 diagnostics).
   offset_t split_fiber_count() const { return split_fiber_count_; }

@@ -39,6 +39,7 @@ class CslTensor {
   index_t nz_index(index_t p, offset_t z) const { return nz_inds_[p][z]; }
   value_t value(offset_t z) const { return vals_[z]; }
 
+  const index_vec& nz_indices(index_t p) const { return nz_inds_[p]; }
   const index_vec& slice_indices() const { return slice_inds_; }
   const offset_vec& slice_pointers() const { return slice_ptr_; }
   const value_vec& values() const { return vals_; }

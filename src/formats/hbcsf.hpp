@@ -37,6 +37,8 @@ class HbcsfTensor {
   /// COO group: coordinate `p` (position in mode_order) of nonzero `z`.
   index_t coo_index(index_t p, offset_t z) const { return coo_inds_[p][z]; }
   value_t coo_value(offset_t z) const { return coo_vals_[z]; }
+  const index_vec& coo_indices(index_t p) const { return coo_inds_[p]; }
+  const value_vec& coo_values() const { return coo_vals_; }
 
   const CslTensor& csl() const { return csl_; }
   const BcsfTensor& bcsf() const { return bcsf_; }

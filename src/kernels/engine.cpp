@@ -2,6 +2,9 @@
 
 #include <algorithm>
 #include <cstddef>
+#include <cstring>
+#include <span>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -38,7 +41,8 @@ inline value_t* row_of(DenseMatrix& m, index_t i, rank_t rank) {
   return m.data().data() + static_cast<std::size_t>(i) * rank;
 }
 
-// The rank loops.  Each lane r performs the same float statements, in the
+// The runtime-rank loops: F-COO at every rank, the other engines above
+// kMaxTileRank.  Each lane r performs the same float statements, in the
 // same order, as the warp lane of the simulated schedule; vectorizing
 // across r reorders nothing.
 inline void fill_zero(value_t* x, rank_t rank) {
@@ -144,6 +148,244 @@ void run_singletons(const HbcsfTensor& h, const std::vector<DenseMatrix>& f,
   }
 }
 
+// ---------------------------------------------------------------------------
+// Register tiles, for ranks 1 to kMaxTileRank: the same work units and
+// float statements as the runtime loops above, with each rank-R row held
+// in registers instead of scratch memory.
+// ---------------------------------------------------------------------------
+
+/// Four value_t lanes in one SSE register, a GCC/Clang vector extension
+/// like linalg/lanes.hpp's Lanes.  Its operations are lane-wise.
+using Vec = value_t __attribute__((vector_size(4 * sizeof(value_t))));
+constexpr rank_t kVecLanes = 4;
+static_assert(sizeof(Vec) == kVecLanes * sizeof(value_t));
+
+/// Widest rank the tiles take: at rank 16 a kernel's two tiles and one
+/// loaded factor row fill 12 of SSE2's 16 vector registers, while a
+/// 32-wide tile spills.
+constexpr rank_t kMaxTileRank = 16;
+
+/// One rank-R row in registers: ceil(R / 4) vectors, the last one partial
+/// when 4 does not divide R (its spare lanes hold zeros and are never
+/// stored).  Lane r of every operation is the runtime loops' statement on
+/// column r, so a tile computes what they compute, bit for bit.  The
+/// vector loops are unrolled, as in linalg/, so the tile stays in
+/// registers at -O2 too.
+template <rank_t R>
+struct Tile {
+  static constexpr rank_t kVecs = (R + kVecLanes - 1) / kVecLanes;
+  /// Lanes the last vector uses.
+  static constexpr rank_t kTail = R - (kVecs - 1) * kVecLanes;
+
+  Vec v[kVecs];
+
+  static Tile zero() {
+    Tile t{};
+#pragma GCC unroll 4
+    for (rank_t i = 0; i < kVecs; ++i) t.v[i] = Vec{};
+    return t;
+  }
+  static Tile splat(value_t s) {
+    Tile t{};
+#pragma GCC unroll 4
+    for (rank_t i = 0; i < kVecs; ++i) t.v[i] = Vec{s, s, s, s};
+    return t;
+  }
+  // A partial last vector is assembled and taken apart lane by lane: a
+  // partial memcpy would go through the stack, and the full-width reload
+  // of a narrower store stalls on every nonzero.
+  static Tile load(const value_t* p) {
+    Tile t{};
+#pragma GCC unroll 4
+    for (rank_t i = 0; i + 1 < kVecs; ++i) {
+      std::memcpy(&t.v[i], p + i * kVecLanes, sizeof(Vec));
+    }
+    const value_t* q = p + (kVecs - 1) * kVecLanes;
+    if constexpr (kTail == kVecLanes) {
+      std::memcpy(&t.v[kVecs - 1], q, sizeof(Vec));
+    } else {
+      t.v[kVecs - 1] = Vec{q[0], kTail > 1 ? q[1] : 0.0F,
+                           kTail > 2 ? q[2] : 0.0F, 0.0F};
+    }
+    return t;
+  }
+  void store(value_t* p) const {
+#pragma GCC unroll 4
+    for (rank_t i = 0; i + 1 < kVecs; ++i) {
+      std::memcpy(p + i * kVecLanes, &v[i], sizeof(Vec));
+    }
+    value_t* q = p + (kVecs - 1) * kVecLanes;
+    if constexpr (kTail == kVecLanes) {
+      std::memcpy(q, &v[kVecs - 1], sizeof(Vec));
+    } else {
+#pragma GCC unroll 4
+      for (rank_t r = 0; r < kTail; ++r) q[r] = v[kVecs - 1][r];
+    }
+  }
+  Tile& operator+=(const Tile& x) {
+#pragma GCC unroll 4
+    for (rank_t i = 0; i < kVecs; ++i) v[i] += x.v[i];
+    return *this;
+  }
+  Tile& operator*=(const Tile& x) {
+#pragma GCC unroll 4
+    for (rank_t i = 0; i < kVecs; ++i) v[i] *= x.v[i];
+    return *this;
+  }
+  /// this += s * x: the runtime loops' axpy.
+  void add_scaled(value_t s, const Tile& x) {
+#pragma GCC unroll 4
+    for (rank_t i = 0; i < kVecs; ++i) v[i] += s * x.v[i];
+  }
+};
+
+/// Calls fn(std::integral_constant<rank_t, rank>{}) and returns true when
+/// a tile takes `rank`; returns false for ranks above kMaxTileRank.
+template <typename Fn>
+bool with_tile(rank_t rank, Fn fn) {
+  return [&]<rank_t... I>(std::integer_sequence<rank_t, I...>) {
+    return ((rank == I + 1 &&
+             (fn(std::integral_constant<rank_t, I + 1>{}), true)) ||
+            ...);
+  }(std::make_integer_sequence<rank_t, kMaxTileRank>{});
+}
+
+/// The factor rows a work unit reads at one tree level or tensor mode:
+/// unit u reads row coords[u] of `factor`, row-major with the tile's rank.
+struct RowSource {
+  const index_t* coords;
+  const value_t* factor;
+};
+
+template <rank_t R>
+Tile<R> load_row(const value_t* m, index_t i) {
+  return Tile<R>::load(m + static_cast<std::size_t>(i) * R);
+}
+
+/// Adds `x` to the output row at `y`.
+template <rank_t R>
+void add_to_row(value_t* y, const Tile<R>& x) {
+  Tile<R> row = Tile<R>::load(y);
+  row += x;
+  row.store(y);
+}
+
+/// The runtime loops' product of unit u: `value` broadcast, then scaled
+/// by each source's row in turn.
+template <rank_t R>
+Tile<R> product(value_t value, std::span<const RowSource> sources,
+                offset_t u) {
+  Tile<R> p = Tile<R>::splat(value);
+  for (const RowSource& s : sources) p *= load_row<R>(s.factor, s.coords[u]);
+  return p;
+}
+
+/// What run_bcsf_tiles reads, gathered once per call before the region:
+/// the B-CSF's arrays, the leaf factor, and the rows a fiber segment is
+/// scaled by in run_bcsf's order -- its own level, then each middle level
+/// up to level 1.
+struct BcsfArrays {
+  BcsfArrays(const BcsfTensor& bcsf, const std::vector<DenseMatrix>& f)
+      : blocks(bcsf.blocks().data()),
+        fiber_ptr(bcsf.csf().level_pointers(bcsf.csf().node_levels() - 1)
+                      .data()),
+        slices(bcsf.csf().level_indices(0).data()),
+        leaf_index(bcsf.csf().leaf_indices().data()),
+        values(bcsf.csf().values().data()),
+        leaf(f[bcsf.csf().mode_order().back()].data().data()) {
+    const CsfTensor& csf = bcsf.csf();
+    for (index_t up = 1; up < csf.node_levels(); ++up) {
+      const index_t level = csf.node_levels() - up;
+      levels.push_back({bcsf.fiber_coords(level).data(),
+                        f[csf.mode_order()[level]].data().data()});
+    }
+  }
+
+  const BcsfTensor::Block* blocks;
+  const offset_t* fiber_ptr;
+  const index_t* slices;
+  const index_t* leaf_index;
+  const value_t* values;
+  const value_t* leaf;
+  std::vector<RowSource> levels;
+};
+
+/// run_bcsf on tiles.  Each block loads its output row once, adds each
+/// fiber's tile to it in fiber order (or, under kPerSliceShared, adds
+/// their sum once at the block's end) and stores it once; the next
+/// slc-split block of the slice loads what this one stored.
+template <rank_t R>
+void run_bcsf_tiles(const BcsfArrays& a, OutputCombine combine,
+                    offset_t begin, offset_t end, value_t* out) {
+  const std::span<const RowSource> levels = a.levels;
+  const bool shared = combine == OutputCombine::kPerSliceShared;
+  for (offset_t b = begin; b < end; ++b) {
+    const BcsfTensor::Block& block = a.blocks[b];
+    value_t* y = out + static_cast<std::size_t>(a.slices[block.slice]) * R;
+    Tile<R> row = shared ? Tile<R>::zero() : Tile<R>::load(y);
+    for (offset_t fb = block.fiber_begin; fb < block.fiber_end; ++fb) {
+      Tile<R> t = Tile<R>::zero();
+      for (offset_t z = a.fiber_ptr[fb]; z < a.fiber_ptr[fb + 1]; ++z) {
+        t.add_scaled(a.values[z], load_row<R>(a.leaf, a.leaf_index[z]));
+      }
+      for (const RowSource& level : levels) {
+        t *= load_row<R>(level.factor, level.coords[fb]);
+      }
+      row += t;
+    }
+    if (shared) {
+      add_to_row(y, row);
+    } else {
+      row.store(y);
+    }
+  }
+}
+
+/// run_csl on tiles: one accumulator tile per warp segment.
+template <rank_t R>
+void run_csl_tiles(const CslTensor& csl, std::span<const RowSource> modes,
+                   offset_t seg_nnz, offset_t begin, offset_t end,
+                   value_t* out) {
+  const value_t* values = csl.values().data();
+  for (offset_t s = begin; s < end; ++s) {
+    value_t* y = out + static_cast<std::size_t>(csl.slice_index(s)) * R;
+    const offset_t s_end = csl.slice_end(s);
+    for (offset_t z0 = csl.slice_begin(s); z0 < s_end; z0 += seg_nnz) {
+      const offset_t z1 = std::min(z0 + seg_nnz, s_end);
+      Tile<R> acc = Tile<R>::zero();
+      for (offset_t z = z0; z < z1; ++z) {
+        acc += product<R>(values[z], modes, z);
+      }
+      add_to_row(y, acc);
+    }
+  }
+}
+
+/// Nonzeros [begin, end) that each add their product straight to their
+/// output row rows[z]: run_singletons, and the COO engine, on tiles.
+template <rank_t R>
+void add_products(const index_t* rows, const value_t* values,
+                  std::span<const RowSource> modes, offset_t begin,
+                  offset_t end, value_t* out) {
+  for (offset_t z = begin; z < end; ++z) {
+    add_to_row(out + static_cast<std::size_t>(rows[z]) * R,
+               product<R>(values[z], modes, z));
+  }
+}
+
+/// The non-root rows of a CSL, HB-CSF COO-group or COO nonzero,
+/// in mode order: position p + 1 reads the coordinates at coords(p).
+template <typename Coords>
+std::vector<RowSource> position_sources(const ModeOrder& order,
+                                        const std::vector<DenseMatrix>& f,
+                                        Coords coords) {
+  std::vector<RowSource> out;
+  for (index_t p = 0; p + 1 < order.size(); ++p) {
+    out.push_back({coords(p), f[order[p + 1]].data().data()});
+  }
+  return out;
+}
+
 /// Nonzeros a range aims for: at least kRangesPerThread ranges per team
 /// thread, none below kMinRangeNnz.
 offset_t range_target(offset_t nnz, int team) {
@@ -210,13 +452,14 @@ int team_thread() {
 
 /// Runs run(range, scratch) for every range in ONE OpenMP region of
 /// kernel_team_size() threads, handing the ranges out one at a time.
-/// Each thread's `scratch` (2 x rank floats, padded apart so threads
-/// share no cache line) is allocated before the region, which therefore
-/// never allocates or throws.
+/// Each thread's `scratch` (`scratch_floats` floats, padded apart so
+/// threads share no cache line; none for the tiles) is allocated before
+/// the region, which therefore never allocates or throws.
 template <typename Run>
-void run_ranges(const std::vector<EngineRange>& ranges, int team, rank_t rank,
-                Run run) {
-  const std::size_t stride = round_up<std::size_t>(2 * rank + 16, 16);
+void run_ranges(const std::vector<EngineRange>& ranges, int team,
+                std::size_t scratch_floats, Run run) {
+  const std::size_t stride =
+      scratch_floats == 0 ? 0 : round_up<std::size_t>(scratch_floats + 16, 16);
   std::vector<value_t> scratch(stride * static_cast<std::size_t>(team));
   const auto n = static_cast<std::ptrdiff_t>(ranges.size());
 #pragma omp parallel for schedule(dynamic, 1) num_threads(kernel_team_size())
@@ -269,7 +512,18 @@ void bcsf_engine(const BcsfTensor& bcsf, const std::vector<DenseMatrix>& factors
   const rank_t rank = factors.front().cols();
   reset_output(out, csf.dims()[csf.root_mode()], rank);
   const int team = kernel_team_size();
-  run_ranges(engine_ranges(bcsf, team), team, rank,
+  const std::vector<EngineRange> ranges = engine_ranges(bcsf, team);
+  if (with_tile(rank, [&](auto width) {
+        constexpr rank_t R = decltype(width)::value;
+        const BcsfArrays arrays(bcsf, factors);
+        value_t* y = out.data().data();
+        run_ranges(ranges, team, 0, [&](const EngineRange& r, value_t*) {
+          run_bcsf_tiles<R>(arrays, combine, r.begin, r.end, y);
+        });
+      })) {
+    return;
+  }
+  run_ranges(ranges, team, 2 * rank,
              [&](const EngineRange& r, value_t* scratch) {
                run_bcsf(bcsf, factors, combine, r.begin, r.end, scratch, out);
              });
@@ -282,7 +536,20 @@ void csl_engine(const CslTensor& csl, const std::vector<DenseMatrix>& factors,
   reset_output(out, csl.dims()[csl.root_mode()], rank);
   const auto seg_nnz = static_cast<offset_t>(device.csl_segment_nnz);
   const int team = kernel_team_size();
-  run_ranges(engine_ranges(csl, team), team, rank,
+  const std::vector<EngineRange> ranges = engine_ranges(csl, team);
+  if (with_tile(rank, [&](auto width) {
+        constexpr rank_t R = decltype(width)::value;
+        const std::vector<RowSource> modes = position_sources(
+            csl.mode_order(), factors,
+            [&](index_t p) { return csl.nz_indices(p).data(); });
+        value_t* y = out.data().data();
+        run_ranges(ranges, team, 0, [&](const EngineRange& r, value_t*) {
+          run_csl_tiles<R>(csl, modes, seg_nnz, r.begin, r.end, y);
+        });
+      })) {
+    return;
+  }
+  run_ranges(ranges, team, 2 * rank,
              [&](const EngineRange& r, value_t* scratch) {
                run_csl(csl, factors, seg_nnz, r.begin, r.end, scratch, out);
              });
@@ -299,7 +566,38 @@ void hbcsf_engine(const HbcsfTensor& hbcsf,
   // A slice lives in exactly one group, so the groups' ranges write
   // disjoint rows of one output: no per-group temporaries, no combining
   // pass.
-  run_ranges(engine_ranges(hbcsf, team), team, rank,
+  const std::vector<EngineRange> ranges = engine_ranges(hbcsf, team);
+  if (with_tile(rank, [&](auto width) {
+        constexpr rank_t R = decltype(width)::value;
+        const BcsfArrays bcsf(hbcsf.bcsf(), factors);
+        const std::vector<RowSource> csl_modes = position_sources(
+            hbcsf.csl().mode_order(), factors,
+            [&](index_t p) { return hbcsf.csl().nz_indices(p).data(); });
+        const std::vector<RowSource> coo_modes = position_sources(
+            hbcsf.mode_order(), factors,
+            [&](index_t p) { return hbcsf.coo_indices(p + 1).data(); });
+        value_t* y = out.data().data();
+        run_ranges(ranges, team, 0, [&](const EngineRange& r, value_t*) {
+          switch (r.units) {
+            case EngineRange::Units::kBcsfBlocks:
+              run_bcsf_tiles<R>(bcsf, OutputCombine::kPerFiber, r.begin,
+                                r.end, y);
+              break;
+            case EngineRange::Units::kCslSlices:
+              run_csl_tiles<R>(hbcsf.csl(), csl_modes, seg_nnz, r.begin,
+                               r.end, y);
+              break;
+            case EngineRange::Units::kSingletons:
+              add_products<R>(hbcsf.coo_indices(0).data(),
+                              hbcsf.coo_values().data(), coo_modes, r.begin,
+                              r.end, y);
+              break;
+          }
+        });
+      })) {
+    return;
+  }
+  run_ranges(ranges, team, 2 * rank,
              [&](const EngineRange& r, value_t* scratch) {
                switch (r.units) {
                  case EngineRange::Units::kBcsfBlocks:
@@ -324,6 +622,20 @@ void coo_engine(const SparseTensor& tensor, index_t mode,
   BCSF_CHECK(mode < tensor.order(), "coo_engine: bad mode");
   const rank_t rank = factors.front().cols();
   reset_output(out, tensor.dim(mode), rank);
+  if (with_tile(rank, [&](auto width) {
+        constexpr rank_t R = decltype(width)::value;
+        // The other modes in increasing order, as the runtime loop scales.
+        const ModeOrder order = mode_order_for(mode, tensor.order());
+        const std::vector<RowSource> modes =
+            position_sources(order, factors, [&](index_t p) {
+              return tensor.mode_indices(order[p + 1]).data();
+            });
+        add_products<R>(tensor.mode_indices(mode).data(),
+                        tensor.values().data(), modes, 0, tensor.nnz(),
+                        out.data().data());
+      })) {
+    return;
+  }
   std::vector<value_t> prod(rank);
   value_t* p = prod.data();
   for (offset_t z = 0; z < tensor.nnz(); ++z) {

@@ -9,6 +9,16 @@
 // A GPU plan pays the walk once per rank (SimMemo) and the engine on
 // every call.
 //
+// Rank loops: up to rank 16 the B-CSF, CSL, HB-CSF and COO engines keep
+// each rank-R row they work on -- a fiber's partial, a segment's sum, a
+// nonzero's product, a block's output row -- in registers, as a
+// compile-time-width tile of value_t vector lanes, so a work unit takes
+// one pass and no scratch.  Above rank 16, and for F-COO at every rank,
+// the rows live in scratch and the rank loops run to the runtime rank.
+// Either way lane r performs the same float statements in the same order
+// as the warp lane of the simulated schedule, so the two agree bit for
+// bit (DESIGN.md §1).
+//
 // Threading: the B-CSF, CSL and HB-CSF engines cut their work units
 // into nnz-weighted ranges that each own their output rows (engine_ranges
 // below) and share them out in ONE OpenMP region of kernel_team_size()

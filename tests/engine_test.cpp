@@ -1,6 +1,13 @@
 // The arithmetic engine behind every simulated GPU key (kernels/engine.hpp).
 //
-// Three contracts, on 3- and 4-mode tensors at ranks 1, 8 and 32:
+// Four contracts, on 3- and 4-mode tensors:
+//  * the scalar loops: every key's output is bit for bit what the
+//    engine's runtime-rank loops, run one output entry (lane r) at a
+//    time, produce over the same format -- at ranks 1-5, 7, 8, 12, 15,
+//    16, 17 and 32, every mode, both B-CSF output combines -- and column
+//    r of a rank-R output is the rank-1 run on column r of every factor,
+//    so the register tiles of ranks up to 16 and the runtime loops above
+//    reorder no float statement of any lane;
 //  * determinism: each output row is accumulated by one thread in
 //    schedule order, so outputs are bitwise identical at 1, 2, 3 and 4
 //    OpenMP threads and inside a pool task;
@@ -167,6 +174,211 @@ std::vector<DenseMatrix> abs_copy(const std::vector<DenseMatrix>& factors) {
   return out;
 }
 
+// ---------------------------------------------------------------------------
+// Scalar oracles: the engine's runtime-rank loops over each format's work
+// units in schedule order, written out one output entry (lane r) at a
+// time.  Each adds into `out`, which holds dims[root] x R zeros.
+// ---------------------------------------------------------------------------
+
+const value_t* row_of(const DenseMatrix& m, index_t i) {
+  return m.data().data() + static_cast<std::size_t>(i) * m.cols();
+}
+value_t* row_of(DenseMatrix& m, index_t i) {
+  return m.data().data() + static_cast<std::size_t>(i) * m.cols();
+}
+
+/// B-CSF blocks: per fiber segment t = sum of value x leaf row, scaled by
+/// the fiber's own row and then each middle level, deepest first; t goes
+/// into the output row (kPerFiber) or a per-block accumulator that is
+/// added once at the block's end (kPerSliceShared).
+void bcsf_oracle(const BcsfTensor& bcsf, const std::vector<DenseMatrix>& f,
+                 OutputCombine combine, DenseMatrix& out) {
+  const CsfTensor& csf = bcsf.csf();
+  const rank_t rank = f.front().cols();
+  const ModeOrder& order = csf.mode_order();
+  const index_t fiber_level = csf.node_levels() - 1;
+  const bool shared = combine == OutputCombine::kPerSliceShared;
+  std::vector<value_t> t(rank);
+  std::vector<value_t> acc(rank);
+  for (const BcsfTensor::Block& block : bcsf.blocks()) {
+    value_t* y = row_of(out, csf.node_index(0, block.slice));
+    for (rank_t r = 0; r < rank; ++r) acc[r] = 0.0F;
+    for (offset_t fb = block.fiber_begin; fb < block.fiber_end; ++fb) {
+      for (rank_t r = 0; r < rank; ++r) t[r] = 0.0F;
+      for (offset_t z = csf.child_begin(fiber_level, fb);
+           z < csf.child_end(fiber_level, fb); ++z) {
+        const value_t* x = row_of(f[order.back()], csf.leaf_index(z));
+        for (rank_t r = 0; r < rank; ++r) t[r] += csf.value(z) * x[r];
+      }
+      for (index_t level = fiber_level; level >= 1; --level) {
+        const value_t* x =
+            row_of(f[order[level]], bcsf.fiber_coord(level, fb));
+        for (rank_t r = 0; r < rank; ++r) t[r] *= x[r];
+      }
+      value_t* dst = shared ? acc.data() : y;
+      for (rank_t r = 0; r < rank; ++r) dst[r] += t[r];
+    }
+    if (shared) {
+      for (rank_t r = 0; r < rank; ++r) y[r] += acc[r];
+    }
+  }
+}
+
+/// p = value, times each non-root factor row in mode order.
+void product(value_t v, const std::vector<const value_t*>& rows, rank_t rank,
+             std::vector<value_t>& p) {
+  for (rank_t r = 0; r < rank; ++r) p[r] = v;
+  for (const value_t* x : rows) {
+    for (rank_t r = 0; r < rank; ++r) p[r] *= x[r];
+  }
+}
+
+/// CSL slices in warp segments of `seg_nnz` nonzeros: each segment sums
+/// its products from zero and adds the sum to the slice's row.
+void csl_oracle(const CslTensor& csl, const std::vector<DenseMatrix>& f,
+                offset_t seg_nnz, DenseMatrix& out) {
+  const rank_t rank = f.front().cols();
+  const ModeOrder& order = csl.mode_order();
+  std::vector<value_t> p(rank);
+  std::vector<value_t> acc(rank);
+  std::vector<const value_t*> rows(csl.order() - 1);
+  for (offset_t s = 0; s < csl.num_slices(); ++s) {
+    value_t* y = row_of(out, csl.slice_index(s));
+    for (offset_t z0 = csl.slice_begin(s); z0 < csl.slice_end(s);
+         z0 += seg_nnz) {
+      const offset_t z1 = std::min(z0 + seg_nnz, csl.slice_end(s));
+      for (rank_t r = 0; r < rank; ++r) acc[r] = 0.0F;
+      for (offset_t z = z0; z < z1; ++z) {
+        for (index_t q = 0; q + 1 < csl.order(); ++q) {
+          rows[q] = row_of(f[order[q + 1]], csl.nz_index(q, z));
+        }
+        product(csl.value(z), rows, rank, p);
+        for (rank_t r = 0; r < rank; ++r) acc[r] += p[r];
+      }
+      for (rank_t r = 0; r < rank; ++r) y[r] += acc[r];
+    }
+  }
+}
+
+/// HB-CSF: its B-CSF group per fiber, its CSL group, and one product per
+/// singleton added straight to the singleton's row.
+void hbcsf_oracle(const HbcsfTensor& h, const std::vector<DenseMatrix>& f,
+                  offset_t seg_nnz, DenseMatrix& out) {
+  bcsf_oracle(h.bcsf(), f, OutputCombine::kPerFiber, out);
+  csl_oracle(h.csl(), f, seg_nnz, out);
+  const rank_t rank = f.front().cols();
+  const ModeOrder& order = h.mode_order();
+  std::vector<value_t> p(rank);
+  std::vector<const value_t*> rows(h.order() - 1);
+  for (offset_t z = 0; z < h.coo_nnz(); ++z) {
+    for (index_t q = 1; q < h.order(); ++q) {
+      rows[q - 1] = row_of(f[order[q]], h.coo_index(q, z));
+    }
+    product(h.coo_value(z), rows, rank, p);
+    value_t* y = row_of(out, h.coo_index(0, z));
+    for (rank_t r = 0; r < rank; ++r) y[r] += p[r];
+  }
+}
+
+/// COO: nonzeros in storage order, each product added to its row.
+void coo_oracle(const SparseTensor& x, index_t mode,
+                const std::vector<DenseMatrix>& f, DenseMatrix& out) {
+  const rank_t rank = f.front().cols();
+  std::vector<value_t> p(rank);
+  std::vector<const value_t*> rows;
+  for (offset_t z = 0; z < x.nnz(); ++z) {
+    rows.clear();
+    for (index_t m = 0; m < x.order(); ++m) {
+      if (m != mode) rows.push_back(row_of(f[m], x.coord(m, z)));
+    }
+    product(x.value(z), rows, rank, p);
+    value_t* y = row_of(out, x.coord(mode, z));
+    for (rank_t r = 0; r < rank; ++r) y[r] += p[r];
+  }
+}
+
+/// F-COO: partitions cut into `chunk`-nonzero chunks; a chunk sums its
+/// products from zero and flushes the sum to the current slice's row at
+/// each slice start after its first nonzero and at its end.
+void fcoo_oracle(const FcooTensor& fcoo, const std::vector<DenseMatrix>& f,
+                 offset_t chunk, DenseMatrix& out) {
+  const rank_t rank = f.front().cols();
+  const ModeOrder& order = fcoo.mode_order();
+  std::vector<value_t> p(rank);
+  std::vector<value_t> acc(rank);
+  std::vector<const value_t*> rows(fcoo.order() - 1);
+  const offset_t m = fcoo.nnz();
+  offset_t slice = 0;
+  const auto flush = [&] {
+    value_t* y = row_of(out, fcoo.slice_index(slice));
+    for (rank_t r = 0; r < rank; ++r) y[r] += acc[r];
+    for (rank_t r = 0; r < rank; ++r) acc[r] = 0.0F;
+  };
+  for (offset_t p0 = 0; p0 < m; p0 += fcoo.partition_size()) {
+    const offset_t p1 = std::min(p0 + fcoo.partition_size(), m);
+    for (offset_t c0 = p0; c0 < p1; c0 += chunk) {
+      const offset_t c1 = std::min(c0 + chunk, p1);
+      for (rank_t r = 0; r < rank; ++r) acc[r] = 0.0F;
+      for (offset_t z = c0; z < c1; ++z) {
+        if (fcoo.starts_slice(z)) {
+          if (z != c0) flush();
+          if (z > 0) ++slice;
+        }
+        for (index_t q = 0; q + 1 < fcoo.order(); ++q) {
+          rows[q] = row_of(f[order[q + 1]], fcoo.nz_index(q, z));
+        }
+        product(fcoo.value(z), rows, rank, p);
+        for (rank_t r = 0; r < rank; ++r) acc[r] += p[r];
+      }
+      if (c1 > c0) flush();
+    }
+  }
+}
+
+/// Every GPU key's format for one mode, built as the registry builds it
+/// from `opts`.
+struct ModeFormats {
+  ModeFormats(const SparseTensor& t, index_t m, const PlanOptions& opts)
+      : x(t), mode(m), device(opts.device),
+        unsplit(build_bcsf(t, m, BcsfOptions::unsplit())),
+        bcsf(build_bcsf(t, m, opts.bcsf)),
+        csl(build_csl(t, m)),
+        hbcsf(build_hbcsf(t, m, opts.bcsf)),
+        fcoo(build_fcoo(t, m, opts.fcoo)) {}
+
+  /// The scalar oracle's output for `key` at the factors' rank.
+  DenseMatrix oracle(const std::string& key,
+                     const std::vector<DenseMatrix>& f) const {
+    DenseMatrix out(x.dim(mode), f.front().cols());
+    const auto seg_nnz = static_cast<offset_t>(device.csl_segment_nnz);
+    if (key == "gpu-csf") {
+      bcsf_oracle(unsplit, f, OutputCombine::kPerFiber, out);
+    } else if (key == "bcsf") {
+      bcsf_oracle(bcsf, f, OutputCombine::kPerFiber, out);
+    } else if (key == "csl") {
+      csl_oracle(csl, f, seg_nnz, out);
+    } else if (key == "hbcsf") {
+      hbcsf_oracle(hbcsf, f, seg_nnz, out);
+    } else if (key == "coo") {
+      coo_oracle(x, mode, f, out);
+    } else if (key == "fcoo") {
+      fcoo_oracle(fcoo, f, fcoo_chunk_nnz(fcoo, device), out);
+    } else {
+      ADD_FAILURE() << "no oracle for " << key;
+    }
+    return out;
+  }
+
+  const SparseTensor& x;
+  index_t mode;
+  DeviceModel device;
+  BcsfTensor unsplit;
+  BcsfTensor bcsf;
+  CslTensor csl;
+  HbcsfTensor hbcsf;
+  FcooTensor fcoo;
+};
+
 class EngineTest : public ::testing::TestWithParam<std::tuple<int, rank_t>> {};
 
 TEST_P(EngineTest, BitwiseAtEveryTeamSizeAndInsidePoolTasks) {
@@ -243,10 +455,124 @@ TEST_P(EngineTest, RealValuedOutputsStayWithinTheForwardErrorBound) {
 INSTANTIATE_TEST_SUITE_P(
     Sweep, EngineTest,
     ::testing::Combine(::testing::Range(0, 4),
-                       ::testing::Values<rank_t>(1, 8, 32)),
+                       ::testing::Values<rank_t>(1, 8, 16, 17, 32)),
     [](const ::testing::TestParamInfo<std::tuple<int, rank_t>>& info) {
       return cases()[std::get<0>(info.param)].name + "_r" +
              std::to_string(std::get<1>(info.param));
+    });
+
+/// Ranks on both sides of the register-tile limit (16), every tile width
+/// with and without a partial vector, and the runtime loops' 17 and 32.
+const rank_t kOracleRanks[] = {1, 2, 3, 4, 5, 7, 8, 12, 15, 16, 17, 32};
+
+class EngineOracleTest
+    : public ::testing::TestWithParam<std::tuple<int, rank_t>> {};
+
+TEST_P(EngineOracleTest, EveryGpuKeyMatchesTheScalarLoopsBitwise) {
+  const auto [case_idx, rank] = GetParam();
+  const Case c = cases()[case_idx];
+  const SparseTensor x = c.tensor();
+  const auto factors = make_random_factors(x.dims(), rank, 903, -1.0F, 1.0F);
+  PlanOptions opts;
+  opts.device = DeviceModel::tiny(4, 16);
+
+  for (index_t mode = 0; mode < x.order(); ++mode) {
+    const ModeFormats formats(x, mode, opts);
+    for (const char* key : kGpuKeys) {
+      SCOPED_TRACE(c.name + " " + key + " mode " + std::to_string(mode) +
+                   " rank " + std::to_string(rank));
+      const PlanPtr plan = FormatRegistry::instance().create(key, x, mode, opts);
+      EXPECT_TRUE(bitwise_equal(formats.oracle(key, factors),
+                                plan->run(factors).output));
+    }
+  }
+}
+
+TEST_P(EngineOracleTest, BcsfEngineMatchesTheScalarLoopsUnderBothCombines) {
+  const auto [case_idx, rank] = GetParam();
+  const Case c = cases()[case_idx];
+  const SparseTensor x = c.tensor();
+  const auto factors = make_random_factors(x.dims(), rank, 904, -1.0F, 1.0F);
+
+  for (index_t mode = 0; mode < x.order(); ++mode) {
+    const BcsfTensor bcsf = build_bcsf(x, mode);
+    for (const OutputCombine combine :
+         {OutputCombine::kPerFiber, OutputCombine::kPerSliceShared}) {
+      SCOPED_TRACE(c.name + " mode " + std::to_string(mode) + " rank " +
+                   std::to_string(rank) + " combine " +
+                   std::to_string(static_cast<int>(combine)));
+      DenseMatrix want(x.dim(mode), rank);
+      bcsf_oracle(bcsf, factors, combine, want);
+      DenseMatrix got;
+      bcsf_engine(bcsf, factors, got, combine);
+      EXPECT_TRUE(bitwise_equal(want, got));
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Ranks, EngineOracleTest,
+    ::testing::Combine(::testing::Range(0, 4),
+                       ::testing::ValuesIn(kOracleRanks)),
+    [](const ::testing::TestParamInfo<std::tuple<int, rank_t>>& info) {
+      return cases()[std::get<0>(info.param)].name + "_r" +
+             std::to_string(std::get<1>(info.param));
+    });
+
+/// Column `r` of `m` as a dims x 1 matrix.
+DenseMatrix column(const DenseMatrix& m, rank_t r) {
+  DenseMatrix out(m.rows(), 1);
+  for (index_t i = 0; i < m.rows(); ++i) out(i, 0) = m(i, r);
+  return out;
+}
+
+class EngineLaneTest : public ::testing::TestWithParam<const char*> {};
+
+// Lanes never mix: column r of a rank-R output is, bit for bit, the
+// rank-1 run on column r of every factor, at every rank the oracle test
+// covers plus 24.  Off-grid values, so any reordering of a lane's float
+// statements between the two runs would show.
+TEST_P(EngineLaneTest, ColumnRIsTheRankOneRunOnColumnR) {
+  const char* key = GetParam();
+  PowerLawConfig cfg;
+  cfg.dims = {300, 200, 160};
+  cfg.target_nnz = 20000;
+  cfg.slice_alpha = 0.7;
+  cfg.fiber_alpha = 0.9;
+  cfg.max_fiber_len = 160;
+  cfg.singleton_slice_frac = 0.05;
+  cfg.seed = 75;
+  const SparseTensor x = generate_power_law(cfg);
+  PlanOptions opts;
+  opts.device = DeviceModel::tiny(4, 16);
+  std::vector<rank_t> ranks(std::begin(kOracleRanks), std::end(kOracleRanks));
+  ranks.push_back(24);
+
+  for (index_t mode = 0; mode < x.order(); ++mode) {
+    const PlanPtr plan = FormatRegistry::instance().create(key, x, mode, opts);
+    for (const rank_t rank : ranks) {
+      const auto factors =
+          make_random_factors(x.dims(), rank, 905, -1.0F, 1.0F);
+      const DenseMatrix wide = plan->run(factors).output;
+      for (rank_t r = 0; r < rank; ++r) {
+        SCOPED_TRACE(std::string(key) + " mode " + std::to_string(mode) +
+                     " rank " + std::to_string(rank) + " column " +
+                     std::to_string(r));
+        std::vector<DenseMatrix> columns;
+        for (const DenseMatrix& f : factors) columns.push_back(column(f, r));
+        EXPECT_TRUE(
+            bitwise_equal(column(wide, r), plan->run(columns).output));
+      }
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Keys, EngineLaneTest, ::testing::ValuesIn(kGpuKeys),
+    [](const ::testing::TestParamInfo<const char*>& info) {
+      std::string name = info.param;
+      std::replace(name.begin(), name.end(), '-', '_');
+      return name;
     });
 
 /// Nonzeros of one range.
