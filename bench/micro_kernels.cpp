@@ -2,7 +2,9 @@
 // format construction, the simulator's cost walk, warm plan executes
 // through the FormatRegistry -- the arithmetic engine behind the
 // simulated formats next to the real CPU kernels, plus a rank sweep of
-// the engine on a served tenant's shape -- the delta sweep of a served
+// the engine on a served tenant's shape, so every engine walk (B-CSF
+// blocks, CSL segments, per-nonzero products, F-COO chunks) has a
+// timing row -- the delta sweep of a served
 // answer, the CPD-ALS dense kernels (Gram, SPD right-solve), and sketch
 // ingest.  These measure actual wall time on this machine (unlike the
 // simulated-GPU figures) and are the numbers a downstream user cares
@@ -117,6 +119,7 @@ BENCHMARK_CAPTURE(BM_Execute, bcsf, "bcsf")->Unit(benchmark::kMillisecond);
 BENCHMARK_CAPTURE(BM_Execute, hbcsf, "hbcsf")->Unit(benchmark::kMillisecond);
 BENCHMARK_CAPTURE(BM_Execute, csl, "csl")->Unit(benchmark::kMillisecond);
 BENCHMARK_CAPTURE(BM_Execute, coo, "coo")->Unit(benchmark::kMillisecond);
+BENCHMARK_CAPTURE(BM_Execute, fcoo, "fcoo")->Unit(benchmark::kMillisecond);
 BENCHMARK_CAPTURE(BM_Execute, reference, "reference")
     ->Unit(benchmark::kMillisecond);
 BENCHMARK_CAPTURE(BM_Execute, cpu_csf, "cpu-csf")
@@ -231,8 +234,8 @@ const SparseTensor& fleet_grid_tensor() {
 
 /// Warm execute of a served tenant's mode-0 plan at the rank in
 /// state.range(0), with fleet-socket's grid factors (multiples of 0.25
-/// in [-1, 1]): ranks up to 16 run the engine's register tiles, 17 and
-/// 32 its runtime-rank loops (DESIGN.md §1).
+/// in [-1, 1]): ranks up to 16 run the engine's walks on register
+/// tiles, 17 and 32 on runtime-rank scratch rows (DESIGN.md §1).
 void BM_TenantExecute(benchmark::State& state, const char* format) {
   const SparseTensor& x = fleet_grid_tensor();
   const auto rank = static_cast<rank_t>(state.range(0));
@@ -262,6 +265,7 @@ void tenant_ranks(benchmark::internal::Benchmark* b) {
 BENCHMARK_CAPTURE(BM_TenantExecute, bcsf, "bcsf")->Apply(tenant_ranks);
 BENCHMARK_CAPTURE(BM_TenantExecute, hbcsf, "hbcsf")->Apply(tenant_ranks);
 BENCHMARK_CAPTURE(BM_TenantExecute, coo, "coo")->Apply(tenant_ranks);
+BENCHMARK_CAPTURE(BM_TenantExecute, csl, "csl")->Apply(tenant_ranks);
 
 /// The delta sweep a served answer adds to its base plan's result
 /// (DESIGN.md §6) at a serve-updates shard's shape: 25 update batches of

@@ -36,6 +36,8 @@ class FcooTensor {
   /// Coordinate along non-root position p (mode_order()[p+1]) of nonzero z.
   index_t nz_index(index_t p, offset_t z) const { return nz_inds_[p][z]; }
   value_t value(offset_t z) const { return vals_[z]; }
+  const index_vec& nz_indices(index_t p) const { return nz_inds_[p]; }
+  const value_vec& values() const { return vals_; }
 
   bool starts_slice(offset_t z) const { return slice_flag_[z] != 0; }
   bool starts_fiber(offset_t z) const { return fiber_flag_[z] != 0; }

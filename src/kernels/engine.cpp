@@ -4,7 +4,6 @@
 #include <cstddef>
 #include <cstring>
 #include <span>
-#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -33,125 +32,15 @@ constexpr offset_t kRangesPerThread = 16;
 /// Nonzeros per range, at least, so a range's hand-out cost stays noise.
 constexpr offset_t kMinRangeNnz = 2048;
 
-/// Row `i` of a row-major factor or output matrix with `rank` columns.
-inline const value_t* row_of(const DenseMatrix& m, index_t i, rank_t rank) {
-  return m.data().data() + static_cast<std::size_t>(i) * rank;
-}
-inline value_t* row_of(DenseMatrix& m, index_t i, rank_t rank) {
-  return m.data().data() + static_cast<std::size_t>(i) * rank;
-}
-
-// The runtime-rank loops: F-COO at every rank, the other engines above
-// kMaxTileRank.  Each lane r performs the same float statements, in the
-// same order, as the warp lane of the simulated schedule; vectorizing
-// across r reorders nothing.
-inline void fill_zero(value_t* x, rank_t rank) {
-#pragma omp simd
-  for (rank_t r = 0; r < rank; ++r) x[r] = 0.0F;
-}
-inline void axpy(value_t* y, value_t v, const value_t* x, rank_t rank) {
-#pragma omp simd
-  for (rank_t r = 0; r < rank; ++r) y[r] += v * x[r];
-}
-inline void scale(value_t* y, const value_t* x, rank_t rank) {
-#pragma omp simd
-  for (rank_t r = 0; r < rank; ++r) y[r] *= x[r];
-}
-inline void add(value_t* y, const value_t* x, rank_t rank) {
-#pragma omp simd
-  for (rank_t r = 0; r < rank; ++r) y[r] += x[r];
-}
-inline void broadcast(value_t* y, value_t v, rank_t rank) {
-#pragma omp simd
-  for (rank_t r = 0; r < rank; ++r) y[r] = v;
-}
-
-/// B-CSF blocks [begin, end), in order, into `out` (Alg. 3 over fiber
-/// segments).  `scratch` holds 2 x rank floats.
-void run_bcsf(const BcsfTensor& bcsf, const std::vector<DenseMatrix>& f,
-              OutputCombine combine, offset_t begin, offset_t end,
-              value_t* scratch, DenseMatrix& out) {
-  const CsfTensor& csf = bcsf.csf();
-  const rank_t rank = f.front().cols();
-  const ModeOrder& order = csf.mode_order();
-  const index_t fiber_level = csf.node_levels() - 1;
-  const DenseMatrix& leaf = f[order.back()];
-  const bool shared = combine == OutputCombine::kPerSliceShared;
-  value_t* t = scratch;
-  value_t* acc = scratch + rank;
-
-  for (offset_t b = begin; b < end; ++b) {
-    const BcsfTensor::Block& block = bcsf.blocks()[b];
-    value_t* y = row_of(out, csf.node_index(0, block.slice), rank);
-    if (shared) fill_zero(acc, rank);
-    for (offset_t fb = block.fiber_begin; fb < block.fiber_end; ++fb) {
-      fill_zero(t, rank);
-      const offset_t z_end = csf.child_end(fiber_level, fb);
-      for (offset_t z = csf.child_begin(fiber_level, fb); z < z_end; ++z) {
-        axpy(t, csf.value(z), row_of(leaf, csf.leaf_index(z), rank), rank);
-      }
-      // The fiber's own row first (Alg. 3 line 13), then middle levels.
-      for (index_t level = fiber_level; level >= 1; --level) {
-        scale(t, row_of(f[order[level]], bcsf.fiber_coord(level, fb), rank),
-              rank);
-      }
-      add(shared ? acc : y, t, rank);
-    }
-    if (shared) add(y, acc, rank);
-  }
-}
-
-/// CSL slices [begin, end), in order, into `out` (Alg. 4), one
-/// accumulator per warp segment of `seg_nnz` nonzeros.  `scratch` holds
-/// 2 x rank floats.
-void run_csl(const CslTensor& csl, const std::vector<DenseMatrix>& f,
-             offset_t seg_nnz, offset_t begin, offset_t end, value_t* scratch,
-             DenseMatrix& out) {
-  const rank_t rank = f.front().cols();
-  const ModeOrder& order = csl.mode_order();
-  const index_t n_other = csl.order() - 1;
-  value_t* p = scratch;
-  value_t* acc = scratch + rank;
-
-  for (offset_t s = begin; s < end; ++s) {
-    value_t* y = row_of(out, csl.slice_index(s), rank);
-    const offset_t s_end = csl.slice_end(s);
-    for (offset_t z0 = csl.slice_begin(s); z0 < s_end; z0 += seg_nnz) {
-      const offset_t z1 = std::min(z0 + seg_nnz, s_end);
-      fill_zero(acc, rank);
-      for (offset_t z = z0; z < z1; ++z) {
-        broadcast(p, csl.value(z), rank);
-        for (index_t q = 0; q < n_other; ++q) {
-          scale(p, row_of(f[order[q + 1]], csl.nz_index(q, z), rank), rank);
-        }
-        add(acc, p, rank);
-      }
-      add(y, acc, rank);
-    }
-  }
-}
-
-/// HB-CSF's COO-group nonzeros [begin, end): one nonzero per slice, so
-/// every nonzero owns its output row.  `scratch` holds rank floats.
-void run_singletons(const HbcsfTensor& h, const std::vector<DenseMatrix>& f,
-                    offset_t begin, offset_t end, value_t* scratch,
-                    DenseMatrix& out) {
-  const rank_t rank = f.front().cols();
-  const ModeOrder& order = h.mode_order();
-  value_t* p = scratch;
-  for (offset_t z = begin; z < end; ++z) {
-    broadcast(p, h.coo_value(z), rank);
-    for (index_t q = 1; q < h.order(); ++q) {  // q = 0 is the root
-      scale(p, row_of(f[order[q]], h.coo_index(q, z), rank), rank);
-    }
-    add(row_of(out, h.coo_index(0, z), rank), p, rank);
-  }
-}
-
 // ---------------------------------------------------------------------------
-// Register tiles, for ranks 1 to kMaxTileRank: the same work units and
-// float statements as the runtime loops above, with each rank-R row held
-// in registers instead of scratch memory.
+// Row policies.  Each engine's work-unit walk is written once, as a
+// template over a row policy that says where the rank-R rows it works on
+// -- a fiber's partial, a segment's sum, a nonzero's product, a block's
+// output row -- live: in registers (TileRows, ranks 1 to kMaxTileRank)
+// or in the thread's scratch (ScratchRows, any rank).  Every row
+// operation performs, on each lane r, the warp lane's float statement of
+// the simulated schedule; vector lanes and simd iterations reorder
+// nothing, so both policies compute the same bits.
 // ---------------------------------------------------------------------------
 
 /// Four value_t lanes in one SSE register, a GCC/Clang vector extension
@@ -160,15 +49,13 @@ using Vec = value_t __attribute__((vector_size(4 * sizeof(value_t))));
 constexpr rank_t kVecLanes = 4;
 static_assert(sizeof(Vec) == kVecLanes * sizeof(value_t));
 
-/// Widest rank the tiles take: at rank 16 a kernel's two tiles and one
+/// Widest rank the tiles take: at rank 16 a walk's two tiles and one
 /// loaded factor row fill 12 of SSE2's 16 vector registers, while a
 /// 32-wide tile spills.
 constexpr rank_t kMaxTileRank = 16;
 
 /// One rank-R row in registers: ceil(R / 4) vectors, the last one partial
-/// when 4 does not divide R (its spare lanes hold zeros and are never
-/// stored).  Lane r of every operation is the runtime loops' statement on
-/// column r, so a tile computes what they compute, bit for bit.  The
+/// when 4 does not divide R (its spare lanes are never stored).  The
 /// vector loops are unrolled, as in linalg/, so the tile stays in
 /// registers at -O2 too.
 template <rank_t R>
@@ -179,35 +66,29 @@ struct Tile {
 
   Vec v[kVecs];
 
-  static Tile zero() {
-    Tile t{};
+  void zero() {
 #pragma GCC unroll 4
-    for (rank_t i = 0; i < kVecs; ++i) t.v[i] = Vec{};
-    return t;
+    for (rank_t i = 0; i < kVecs; ++i) v[i] = Vec{};
   }
-  static Tile splat(value_t s) {
-    Tile t{};
+  void splat(value_t s) {
 #pragma GCC unroll 4
-    for (rank_t i = 0; i < kVecs; ++i) t.v[i] = Vec{s, s, s, s};
-    return t;
+    for (rank_t i = 0; i < kVecs; ++i) v[i] = Vec{s, s, s, s};
   }
   // A partial last vector is assembled and taken apart lane by lane: a
   // partial memcpy would go through the stack, and the full-width reload
   // of a narrower store stalls on every nonzero.
-  static Tile load(const value_t* p) {
-    Tile t{};
+  void load(const value_t* p) {
 #pragma GCC unroll 4
     for (rank_t i = 0; i + 1 < kVecs; ++i) {
-      std::memcpy(&t.v[i], p + i * kVecLanes, sizeof(Vec));
+      std::memcpy(&v[i], p + i * kVecLanes, sizeof(Vec));
     }
     const value_t* q = p + (kVecs - 1) * kVecLanes;
     if constexpr (kTail == kVecLanes) {
-      std::memcpy(&t.v[kVecs - 1], q, sizeof(Vec));
+      std::memcpy(&v[kVecs - 1], q, sizeof(Vec));
     } else {
-      t.v[kVecs - 1] = Vec{q[0], kTail > 1 ? q[1] : 0.0F,
-                           kTail > 2 ? q[2] : 0.0F, 0.0F};
+      v[kVecs - 1] = Vec{q[0], kTail > 1 ? q[1] : 0.0F,
+                         kTail > 2 ? q[2] : 0.0F, 0.0F};
     }
-    return t;
   }
   void store(value_t* p) const {
 #pragma GCC unroll 4
@@ -227,63 +108,157 @@ struct Tile {
     for (rank_t i = 0; i < kVecs; ++i) v[i] += x.v[i];
     return *this;
   }
-  Tile& operator*=(const Tile& x) {
+  /// this *= the row at p.
+  void mul(const value_t* p) {
+    Tile x{};
+    x.load(p);
 #pragma GCC unroll 4
     for (rank_t i = 0; i < kVecs; ++i) v[i] *= x.v[i];
-    return *this;
   }
-  /// this += s * x: the runtime loops' axpy.
-  void add_scaled(value_t s, const Tile& x) {
+  /// this += s * the row at p.
+  void add_scaled(value_t s, const value_t* p) {
+    Tile x{};
+    x.load(p);
 #pragma GCC unroll 4
     for (rank_t i = 0; i < kVecs; ++i) v[i] += s * x.v[i];
   }
+  /// The row at p += this.
+  void add_to(value_t* p) const {
+    Tile y{};
+    y.load(p);
+    y += *this;
+    y.store(p);
+  }
 };
 
-/// Calls fn(std::integral_constant<rank_t, rank>{}) and returns true when
-/// a tile takes `rank`; returns false for ranks above kMaxTileRank.
+/// One runtime-rank row: `rank` floats at `x` -- in the thread's scratch,
+/// or an output row a walk accumulates into in place -- with Tile's
+/// operations as omp simd loops.
+struct ScratchRow {
+  value_t* x;
+  rank_t rank;
+
+  void zero() {
+#pragma omp simd
+    for (rank_t r = 0; r < rank; ++r) x[r] = 0.0F;
+  }
+  void splat(value_t s) {
+#pragma omp simd
+    for (rank_t r = 0; r < rank; ++r) x[r] = s;
+  }
+  ScratchRow& operator+=(const ScratchRow& u) {
+#pragma omp simd
+    for (rank_t r = 0; r < rank; ++r) x[r] += u.x[r];
+    return *this;
+  }
+  void mul(const value_t* p) {
+#pragma omp simd
+    for (rank_t r = 0; r < rank; ++r) x[r] *= p[r];
+  }
+  void add_scaled(value_t s, const value_t* p) {
+#pragma omp simd
+    for (rank_t r = 0; r < rank; ++r) x[r] += s * p[r];
+  }
+  void add_to(value_t* p) const {
+#pragma omp simd
+    for (rank_t r = 0; r < rank; ++r) p[r] += x[r];
+  }
+};
+
+/// Rank-R rows in registers.  Needs no scratch.
+template <rank_t R>
+struct TileRows {
+  using Row = Tile<R>;
+
+  static constexpr std::size_t scratch_floats() { return 0; }
+  static TileRows in(value_t* /*scratch*/) { return {}; }
+  static Row row(rank_t /*k*/) { return {}; }
+  /// The output row at y to accumulate into: a tile loaded from it,
+  /// which close() stores back.
+  static Row open(value_t* y) {
+    Row r{};
+    r.load(y);
+    return r;
+  }
+  static void close(const Row& r, value_t* y) { r.store(y); }
+  /// Row i of the row-major matrix at m.
+  template <typename T>
+  static T* at(T* m, index_t i) {
+    return m + static_cast<std::size_t>(i) * R;
+  }
+};
+
+/// Runtime-rank rows: row k of a walk starts at scratch + k * stride().
+struct ScratchRows {
+  using Row = ScratchRow;
+  /// Rows a walk holds at once.
+  static constexpr rank_t kRows = 2;
+
+  rank_t rank;
+  value_t* scratch = nullptr;
+
+  /// Floats from one row to the next: every row starts as aligned as the
+  /// scratch (16 bytes), so no vector access splits a cache line; with
+  /// rows 4 bytes off, rank-17 B-CSF and HB-CSF ran ~1.2x slower at 4
+  /// threads.
+  std::size_t stride() const { return round_up<std::size_t>(rank, 4); }
+  std::size_t scratch_floats() const { return kRows * stride(); }
+  /// This policy on `scratch`, which holds scratch_floats() floats.
+  ScratchRows in(value_t* s) const { return {rank, s}; }
+  Row row(rank_t k) const { return {scratch + k * stride(), rank}; }
+  /// The output row at y itself: the walk accumulates in place.  (A
+  /// scratch copy of it ran rank-32 B-CSF 1.3-1.6x slower at 4 threads.)
+  Row open(value_t* y) const { return {y, rank}; }
+  void close(const Row& /*r*/, value_t* /*y*/) const {}
+  template <typename T>
+  T* at(T* m, index_t i) const {
+    return m + static_cast<std::size_t>(i) * rank;
+  }
+};
+
+/// Calls fn(rows) with the row policy for `rank`: TileRows<rank> up to
+/// kMaxTileRank, ScratchRows above.
 template <typename Fn>
-bool with_tile(rank_t rank, Fn fn) {
-  return [&]<rank_t... I>(std::integer_sequence<rank_t, I...>) {
-    return ((rank == I + 1 &&
-             (fn(std::integral_constant<rank_t, I + 1>{}), true)) ||
-            ...);
+void with_rows(rank_t rank, Fn fn) {
+  const bool tiled = [&]<rank_t... I>(std::integer_sequence<rank_t, I...>) {
+    return ((rank == I + 1 && (fn(TileRows<I + 1>{}), true)) || ...);
   }(std::make_integer_sequence<rank_t, kMaxTileRank>{});
+  if (!tiled) fn(ScratchRows{rank});
 }
 
 /// The factor rows a work unit reads at one tree level or tensor mode:
-/// unit u reads row coords[u] of `factor`, row-major with the tile's rank.
+/// unit u reads row coords[u] of the row-major `factor`.
 struct RowSource {
   const index_t* coords;
   const value_t* factor;
 };
 
-template <rank_t R>
-Tile<R> load_row(const value_t* m, index_t i) {
-  return Tile<R>::load(m + static_cast<std::size_t>(i) * R);
+/// The non-root rows of a CSL, HB-CSF COO-group, COO or F-COO nonzero,
+/// in mode order: position p + 1 reads the coordinates at coords(p).
+template <typename Coords>
+std::vector<RowSource> position_sources(const ModeOrder& order,
+                                        const std::vector<DenseMatrix>& f,
+                                        Coords coords) {
+  std::vector<RowSource> out;
+  for (index_t p = 0; p + 1 < order.size(); ++p) {
+    out.push_back({coords(p), f[order[p + 1]].data().data()});
+  }
+  return out;
 }
 
-/// Adds `x` to the output row at `y`.
-template <rank_t R>
-void add_to_row(value_t* y, const Tile<R>& x) {
-  Tile<R> row = Tile<R>::load(y);
-  row += x;
-  row.store(y);
+/// p = the product of unit u: `value`, scaled by each source's row in
+/// turn.
+template <typename Rows>
+void product(const Rows& rows, typename Rows::Row& p, value_t value,
+             std::span<const RowSource> sources, offset_t u) {
+  p.splat(value);
+  for (const RowSource& s : sources) p.mul(rows.at(s.factor, s.coords[u]));
 }
 
-/// The runtime loops' product of unit u: `value` broadcast, then scaled
-/// by each source's row in turn.
-template <rank_t R>
-Tile<R> product(value_t value, std::span<const RowSource> sources,
-                offset_t u) {
-  Tile<R> p = Tile<R>::splat(value);
-  for (const RowSource& s : sources) p *= load_row<R>(s.factor, s.coords[u]);
-  return p;
-}
-
-/// What run_bcsf_tiles reads, gathered once per call before the region:
+/// What the B-CSF walk reads, gathered once per call before the region:
 /// the B-CSF's arrays, the leaf factor, and the rows a fiber segment is
-/// scaled by in run_bcsf's order -- its own level, then each middle level
-/// up to level 1.
+/// scaled by, in order -- its own level (Alg. 3 line 13), then each
+/// middle level up to level 1.
 struct BcsfArrays {
   BcsfArrays(const BcsfTensor& bcsf, const std::vector<DenseMatrix>& f)
       : blocks(bcsf.blocks().data()),
@@ -310,80 +285,84 @@ struct BcsfArrays {
   std::vector<RowSource> levels;
 };
 
-/// run_bcsf on tiles.  Each block loads its output row once, adds each
-/// fiber's tile to it in fiber order (or, under kPerSliceShared, adds
-/// their sum once at the block's end) and stores it once; the next
-/// slc-split block of the slice loads what this one stored.
-template <rank_t R>
-void run_bcsf_tiles(const BcsfArrays& a, OutputCombine combine,
-                    offset_t begin, offset_t end, value_t* out) {
+// The walks below run inside the engine's OpenMP region and stay out of
+// line: at -O3 GCC otherwise inlines the scratch-row B-CSF walk into the
+// region, where rank-32 B-CSF ran 1.2-1.4x slower at 4 threads (a cause
+// not pinned down).
+
+/// B-CSF blocks [begin, end), in order, into `out` (Alg. 3 over fiber
+/// segments).  Each block opens its output row once, adds each fiber
+/// segment's row to it in fiber order (or, under kPerSliceShared, adds
+/// their sum once at the block's end) and closes it once; the next
+/// slc-split block of the slice opens what this one closed.
+template <typename Rows>
+[[gnu::noinline]] void bcsf_walk(const BcsfArrays& a, const Rows& rows,
+                                 OutputCombine combine, offset_t begin,
+                                 offset_t end, value_t* out) {
   const std::span<const RowSource> levels = a.levels;
   const bool shared = combine == OutputCombine::kPerSliceShared;
+  typename Rows::Row t = rows.row(1);
   for (offset_t b = begin; b < end; ++b) {
     const BcsfTensor::Block& block = a.blocks[b];
-    value_t* y = out + static_cast<std::size_t>(a.slices[block.slice]) * R;
-    Tile<R> row = shared ? Tile<R>::zero() : Tile<R>::load(y);
+    value_t* y = rows.at(out, a.slices[block.slice]);
+    typename Rows::Row acc = shared ? rows.row(0) : rows.open(y);
+    if (shared) acc.zero();
     for (offset_t fb = block.fiber_begin; fb < block.fiber_end; ++fb) {
-      Tile<R> t = Tile<R>::zero();
+      t.zero();
       for (offset_t z = a.fiber_ptr[fb]; z < a.fiber_ptr[fb + 1]; ++z) {
-        t.add_scaled(a.values[z], load_row<R>(a.leaf, a.leaf_index[z]));
+        t.add_scaled(a.values[z], rows.at(a.leaf, a.leaf_index[z]));
       }
       for (const RowSource& level : levels) {
-        t *= load_row<R>(level.factor, level.coords[fb]);
+        t.mul(rows.at(level.factor, level.coords[fb]));
       }
-      row += t;
+      acc += t;
     }
     if (shared) {
-      add_to_row(y, row);
+      acc.add_to(y);
     } else {
-      row.store(y);
+      rows.close(acc, y);
     }
   }
 }
 
-/// run_csl on tiles: one accumulator tile per warp segment.
-template <rank_t R>
-void run_csl_tiles(const CslTensor& csl, std::span<const RowSource> modes,
-                   offset_t seg_nnz, offset_t begin, offset_t end,
-                   value_t* out) {
+/// CSL slices [begin, end), in order, into `out` (Alg. 4), one
+/// accumulator per warp segment of `seg_nnz` nonzeros.
+template <typename Rows>
+[[gnu::noinline]] void csl_walk(const CslTensor& csl, const Rows& rows,
+                                std::span<const RowSource> modes,
+                                offset_t seg_nnz, offset_t begin,
+                                offset_t end, value_t* out) {
   const value_t* values = csl.values().data();
+  typename Rows::Row acc = rows.row(0);
+  typename Rows::Row p = rows.row(1);
   for (offset_t s = begin; s < end; ++s) {
-    value_t* y = out + static_cast<std::size_t>(csl.slice_index(s)) * R;
+    value_t* y = rows.at(out, csl.slice_index(s));
     const offset_t s_end = csl.slice_end(s);
     for (offset_t z0 = csl.slice_begin(s); z0 < s_end; z0 += seg_nnz) {
       const offset_t z1 = std::min(z0 + seg_nnz, s_end);
-      Tile<R> acc = Tile<R>::zero();
+      acc.zero();
       for (offset_t z = z0; z < z1; ++z) {
-        acc += product<R>(values[z], modes, z);
+        product(rows, p, values[z], modes, z);
+        acc += p;
       }
-      add_to_row(y, acc);
+      acc.add_to(y);
     }
   }
 }
 
 /// Nonzeros [begin, end) that each add their product straight to their
-/// output row rows[z]: run_singletons, and the COO engine, on tiles.
-template <rank_t R>
-void add_products(const index_t* rows, const value_t* values,
-                  std::span<const RowSource> modes, offset_t begin,
-                  offset_t end, value_t* out) {
+/// output row out_rows[z]: HB-CSF's singletons and the COO engine.
+template <typename Rows>
+[[gnu::noinline]] void add_products(const Rows& rows, const index_t* out_rows,
+                                    const value_t* values,
+                                    std::span<const RowSource> modes,
+                                    offset_t begin, offset_t end,
+                                    value_t* out) {
+  typename Rows::Row p = rows.row(0);
   for (offset_t z = begin; z < end; ++z) {
-    add_to_row(out + static_cast<std::size_t>(rows[z]) * R,
-               product<R>(values[z], modes, z));
+    product(rows, p, values[z], modes, z);
+    p.add_to(rows.at(out, out_rows[z]));
   }
-}
-
-/// The non-root rows of a CSL, HB-CSF COO-group or COO nonzero,
-/// in mode order: position p + 1 reads the coordinates at coords(p).
-template <typename Coords>
-std::vector<RowSource> position_sources(const ModeOrder& order,
-                                        const std::vector<DenseMatrix>& f,
-                                        Coords coords) {
-  std::vector<RowSource> out;
-  for (index_t p = 0; p + 1 < order.size(); ++p) {
-    out.push_back({coords(p), f[order[p + 1]].data().data()});
-  }
-  return out;
 }
 
 /// Nonzeros a range aims for: at least kRangesPerThread ranges per team
@@ -450,22 +429,26 @@ int team_thread() {
 #endif
 }
 
-/// Runs run(range, scratch) for every range in ONE OpenMP region of
-/// kernel_team_size() threads, handing the ranges out one at a time.
-/// Each thread's `scratch` (`scratch_floats` floats, padded apart so
-/// threads share no cache line; none for the tiles) is allocated before
-/// the region, which therefore never allocates or throws.
+/// Runs run(range, rows) for every range in ONE OpenMP region of
+/// kernel_team_size() threads, handing the ranges out one at a time;
+/// `rows` is the row policy for `rank` on the thread's own scratch.  The
+/// scratch (padded apart so threads share no cache line; none for tiles)
+/// is allocated before the region, which therefore never allocates or
+/// throws.
 template <typename Run>
 void run_ranges(const std::vector<EngineRange>& ranges, int team,
-                std::size_t scratch_floats, Run run) {
-  const std::size_t stride =
-      scratch_floats == 0 ? 0 : round_up<std::size_t>(scratch_floats + 16, 16);
-  std::vector<value_t> scratch(stride * static_cast<std::size_t>(team));
-  const auto n = static_cast<std::ptrdiff_t>(ranges.size());
+                rank_t rank, Run run) {
+  with_rows(rank, [&](const auto& rows) {
+    const std::size_t floats = rows.scratch_floats();
+    const std::size_t stride =
+        floats == 0 ? 0 : round_up<std::size_t>(floats + 16, 16);
+    std::vector<value_t> scratch(stride * static_cast<std::size_t>(team));
+    const auto n = static_cast<std::ptrdiff_t>(ranges.size());
 #pragma omp parallel for schedule(dynamic, 1) num_threads(kernel_team_size())
-  for (std::ptrdiff_t i = 0; i < n; ++i) {
-    run(ranges[i], scratch.data() + stride * team_thread());
-  }
+    for (std::ptrdiff_t i = 0; i < n; ++i) {
+      run(ranges[i], rows.in(scratch.data() + stride * team_thread()));
+    }
+  });
 }
 
 /// Shapes `out` to rows x rank and zeroes it, reusing its storage when the
@@ -513,20 +496,11 @@ void bcsf_engine(const BcsfTensor& bcsf, const std::vector<DenseMatrix>& factors
   reset_output(out, csf.dims()[csf.root_mode()], rank);
   const int team = kernel_team_size();
   const std::vector<EngineRange> ranges = engine_ranges(bcsf, team);
-  if (with_tile(rank, [&](auto width) {
-        constexpr rank_t R = decltype(width)::value;
-        const BcsfArrays arrays(bcsf, factors);
-        value_t* y = out.data().data();
-        run_ranges(ranges, team, 0, [&](const EngineRange& r, value_t*) {
-          run_bcsf_tiles<R>(arrays, combine, r.begin, r.end, y);
-        });
-      })) {
-    return;
-  }
-  run_ranges(ranges, team, 2 * rank,
-             [&](const EngineRange& r, value_t* scratch) {
-               run_bcsf(bcsf, factors, combine, r.begin, r.end, scratch, out);
-             });
+  const BcsfArrays arrays(bcsf, factors);
+  value_t* y = out.data().data();
+  run_ranges(ranges, team, rank, [&](const EngineRange& r, const auto& rows) {
+    bcsf_walk(arrays, rows, combine, r.begin, r.end, y);
+  });
 }
 
 void csl_engine(const CslTensor& csl, const std::vector<DenseMatrix>& factors,
@@ -537,22 +511,13 @@ void csl_engine(const CslTensor& csl, const std::vector<DenseMatrix>& factors,
   const auto seg_nnz = static_cast<offset_t>(device.csl_segment_nnz);
   const int team = kernel_team_size();
   const std::vector<EngineRange> ranges = engine_ranges(csl, team);
-  if (with_tile(rank, [&](auto width) {
-        constexpr rank_t R = decltype(width)::value;
-        const std::vector<RowSource> modes = position_sources(
-            csl.mode_order(), factors,
-            [&](index_t p) { return csl.nz_indices(p).data(); });
-        value_t* y = out.data().data();
-        run_ranges(ranges, team, 0, [&](const EngineRange& r, value_t*) {
-          run_csl_tiles<R>(csl, modes, seg_nnz, r.begin, r.end, y);
-        });
-      })) {
-    return;
-  }
-  run_ranges(ranges, team, 2 * rank,
-             [&](const EngineRange& r, value_t* scratch) {
-               run_csl(csl, factors, seg_nnz, r.begin, r.end, scratch, out);
-             });
+  const std::vector<RowSource> modes =
+      position_sources(csl.mode_order(), factors,
+                       [&](index_t p) { return csl.nz_indices(p).data(); });
+  value_t* y = out.data().data();
+  run_ranges(ranges, team, rank, [&](const EngineRange& r, const auto& rows) {
+    csl_walk(csl, rows, modes, seg_nnz, r.begin, r.end, y);
+  });
 }
 
 void hbcsf_engine(const HbcsfTensor& hbcsf,
@@ -567,53 +532,29 @@ void hbcsf_engine(const HbcsfTensor& hbcsf,
   // disjoint rows of one output: no per-group temporaries, no combining
   // pass.
   const std::vector<EngineRange> ranges = engine_ranges(hbcsf, team);
-  if (with_tile(rank, [&](auto width) {
-        constexpr rank_t R = decltype(width)::value;
-        const BcsfArrays bcsf(hbcsf.bcsf(), factors);
-        const std::vector<RowSource> csl_modes = position_sources(
-            hbcsf.csl().mode_order(), factors,
-            [&](index_t p) { return hbcsf.csl().nz_indices(p).data(); });
-        const std::vector<RowSource> coo_modes = position_sources(
-            hbcsf.mode_order(), factors,
-            [&](index_t p) { return hbcsf.coo_indices(p + 1).data(); });
-        value_t* y = out.data().data();
-        run_ranges(ranges, team, 0, [&](const EngineRange& r, value_t*) {
-          switch (r.units) {
-            case EngineRange::Units::kBcsfBlocks:
-              run_bcsf_tiles<R>(bcsf, OutputCombine::kPerFiber, r.begin,
-                                r.end, y);
-              break;
-            case EngineRange::Units::kCslSlices:
-              run_csl_tiles<R>(hbcsf.csl(), csl_modes, seg_nnz, r.begin,
-                               r.end, y);
-              break;
-            case EngineRange::Units::kSingletons:
-              add_products<R>(hbcsf.coo_indices(0).data(),
-                              hbcsf.coo_values().data(), coo_modes, r.begin,
-                              r.end, y);
-              break;
-          }
-        });
-      })) {
-    return;
-  }
-  run_ranges(ranges, team, 2 * rank,
-             [&](const EngineRange& r, value_t* scratch) {
-               switch (r.units) {
-                 case EngineRange::Units::kBcsfBlocks:
-                   run_bcsf(hbcsf.bcsf(), factors, OutputCombine::kPerFiber,
-                            r.begin, r.end, scratch, out);
-                   break;
-                 case EngineRange::Units::kCslSlices:
-                   run_csl(hbcsf.csl(), factors, seg_nnz, r.begin, r.end,
-                           scratch, out);
-                   break;
-                 case EngineRange::Units::kSingletons:
-                   run_singletons(hbcsf, factors, r.begin, r.end, scratch,
-                                  out);
-                   break;
-               }
-             });
+  const BcsfArrays bcsf(hbcsf.bcsf(), factors);
+  const std::vector<RowSource> csl_modes = position_sources(
+      hbcsf.csl().mode_order(), factors,
+      [&](index_t p) { return hbcsf.csl().nz_indices(p).data(); });
+  const std::vector<RowSource> coo_modes =
+      position_sources(hbcsf.mode_order(), factors, [&](index_t p) {
+        return hbcsf.coo_indices(p + 1).data();
+      });
+  value_t* y = out.data().data();
+  run_ranges(ranges, team, rank, [&](const EngineRange& r, const auto& rows) {
+    switch (r.units) {
+      case EngineRange::Units::kBcsfBlocks:
+        bcsf_walk(bcsf, rows, OutputCombine::kPerFiber, r.begin, r.end, y);
+        break;
+      case EngineRange::Units::kCslSlices:
+        csl_walk(hbcsf.csl(), rows, csl_modes, seg_nnz, r.begin, r.end, y);
+        break;
+      case EngineRange::Units::kSingletons:
+        add_products(rows, hbcsf.coo_indices(0).data(),
+                     hbcsf.coo_values().data(), coo_modes, r.begin, r.end, y);
+        break;
+    }
+  });
 }
 
 void coo_engine(const SparseTensor& tensor, index_t mode,
@@ -622,43 +563,34 @@ void coo_engine(const SparseTensor& tensor, index_t mode,
   BCSF_CHECK(mode < tensor.order(), "coo_engine: bad mode");
   const rank_t rank = factors.front().cols();
   reset_output(out, tensor.dim(mode), rank);
-  if (with_tile(rank, [&](auto width) {
-        constexpr rank_t R = decltype(width)::value;
-        // The other modes in increasing order, as the runtime loop scales.
-        const ModeOrder order = mode_order_for(mode, tensor.order());
-        const std::vector<RowSource> modes =
-            position_sources(order, factors, [&](index_t p) {
-              return tensor.mode_indices(order[p + 1]).data();
-            });
-        add_products<R>(tensor.mode_indices(mode).data(),
-                        tensor.values().data(), modes, 0, tensor.nnz(),
-                        out.data().data());
-      })) {
-    return;
-  }
-  std::vector<value_t> prod(rank);
-  value_t* p = prod.data();
-  for (offset_t z = 0; z < tensor.nnz(); ++z) {
-    broadcast(p, tensor.value(z), rank);
-    for (index_t m = 0; m < tensor.order(); ++m) {
-      if (m == mode) continue;
-      scale(p, row_of(factors[m], tensor.coord(m, z), rank), rank);
-    }
-    add(row_of(out, tensor.coord(mode, z), rank), p, rank);
-  }
+  // The other modes in increasing order.
+  const ModeOrder order = mode_order_for(mode, tensor.order());
+  const std::vector<RowSource> modes =
+      position_sources(order, factors, [&](index_t p) {
+        return tensor.mode_indices(order[p + 1]).data();
+      });
+  with_rows(rank, [&](const auto& rows) {
+    std::vector<value_t> scratch(rows.scratch_floats());
+    add_products(rows.in(scratch.data()), tensor.mode_indices(mode).data(),
+                 tensor.values().data(), modes, 0, tensor.nnz(),
+                 out.data().data());
+  });
 }
 
 void fcoo_engine(const FcooTensor& fcoo, const std::vector<DenseMatrix>& factors,
                  const DeviceModel& device, DenseMatrix& out) {
   check_factors(fcoo.dims(), factors);
   const rank_t rank = factors.front().cols();
-  const ModeOrder& order = fcoo.mode_order();
-  const index_t n_other = fcoo.order() - 1;
   reset_output(out, fcoo.dims()[fcoo.root_mode()], rank);
-  std::vector<value_t> prod(rank);
-  std::vector<value_t> seg(rank);
-  value_t* p = prod.data();
-  value_t* acc = seg.data();
+  const std::vector<RowSource> modes =
+      position_sources(fcoo.mode_order(), factors,
+                       [&](index_t p) { return fcoo.nz_indices(p).data(); });
+  std::vector<value_t> scratch(ScratchRows{rank}.scratch_floats());
+  const ScratchRows rows{rank, scratch.data()};
+  ScratchRow acc = rows.row(0);
+  ScratchRow p = rows.row(1);
+  const value_t* values = fcoo.values().data();
+  value_t* y = out.data().data();
 
   const offset_t m = fcoo.nnz();
   const offset_t part = fcoo.partition_size();
@@ -670,25 +602,19 @@ void fcoo_engine(const FcooTensor& fcoo, const std::vector<DenseMatrix>& factors
       const offset_t c1 = std::min(c0 + chunk, p1);
       // Segmented accumulation within the chunk: flush on slice change,
       // then the tail segment, which may continue into the next chunk.
-      fill_zero(acc, rank);
+      acc.zero();
       for (offset_t z = c0; z < c1; ++z) {
         if (fcoo.starts_slice(z)) {
           if (z != c0) {
-            add(row_of(out, fcoo.slice_index(slice_ordinal), rank), acc, rank);
-            fill_zero(acc, rank);
+            acc.add_to(rows.at(y, fcoo.slice_index(slice_ordinal)));
+            acc.zero();
           }
           if (z > 0) ++slice_ordinal;
         }
-        broadcast(p, fcoo.value(z), rank);
-        for (index_t q = 0; q < n_other; ++q) {
-          scale(p, row_of(factors[order[q + 1]], fcoo.nz_index(q, z), rank),
-                rank);
-        }
-        add(acc, p, rank);
+        product(rows, p, values[z], modes, z);
+        acc += p;
       }
-      if (c1 > c0) {
-        add(row_of(out, fcoo.slice_index(slice_ordinal), rank), acc, rank);
-      }
+      if (c1 > c0) acc.add_to(rows.at(y, fcoo.slice_index(slice_ordinal)));
     }
   }
 }

@@ -9,12 +9,14 @@
 // A GPU plan pays the walk once per rank (SimMemo) and the engine on
 // every call.
 //
-// Rank loops: up to rank 16 the B-CSF, CSL, HB-CSF and COO engines keep
-// each rank-R row they work on -- a fiber's partial, a segment's sum, a
-// nonzero's product, a block's output row -- in registers, as a
-// compile-time-width tile of value_t vector lanes, so a work unit takes
-// one pass and no scratch.  Above rank 16, and for F-COO at every rank,
-// the rows live in scratch and the rank loops run to the runtime rank.
+// Rank loops: each work-unit walk -- B-CSF blocks, CSL warp segments and
+// the per-nonzero product loop of HB-CSF's singletons and COO -- is
+// written once, over a row policy that places each rank-R row it works
+// on (a fiber's partial, a segment's sum, a nonzero's product, a block's
+// output row).  Up to rank 16 the rows are compile-time-width tiles of
+// value_t vector lanes in registers, so a work unit takes one pass and
+// no scratch; above rank 16, and for F-COO's chunk walk at every rank,
+// they live in scratch and the rank loops run to the runtime rank.
 // Either way lane r performs the same float statements in the same order
 // as the warp lane of the simulated schedule, so the two agree bit for
 // bit (DESIGN.md §1).

@@ -135,9 +135,6 @@ DenseMatrix mttkrp_csf_cpu(const CsfTensor& csf,
           const offset_t child = begin + f.cursor;
           ++f.cursor;
           stack.push_back({static_cast<index_t>(f.level + 1), child, 0});
-          if (f.level + 1 < n_levels - 1) {
-            // interior child: its accumulator is reset on first visit
-          }
           continue;
         }
         // All children done: scale and propagate upward.

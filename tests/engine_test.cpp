@@ -1,13 +1,13 @@
 // The arithmetic engine behind every simulated GPU key (kernels/engine.hpp).
 //
-// Four contracts, on 3- and 4-mode tensors:
-//  * the scalar loops: every key's output is bit for bit what the
-//    engine's runtime-rank loops, run one output entry (lane r) at a
-//    time, produce over the same format -- at ranks 1-5, 7, 8, 12, 15,
-//    16, 17 and 32, every mode, both B-CSF output combines -- and column
-//    r of a rank-R output is the rank-1 run on column r of every factor,
-//    so the register tiles of ranks up to 16 and the runtime loops above
-//    reorder no float statement of any lane;
+// Four contracts, on 2- to 5-mode tensors:
+//  * the scalar loops: every key's output is bit for bit what its
+//    format's work-unit walk, run one output entry (lane r) at a time,
+//    produces -- at ranks 1-5, 7, 8, 12, 15, 16, 17 and 32, every mode,
+//    both B-CSF output combines -- and column r of a rank-R output is
+//    the rank-1 run on column r of every factor, so neither row policy of
+//    the engine's walks (register tiles up to rank 16, scratch rows
+//    above) reorders a float statement of any lane;
 //  * determinism: each output row is accumulated by one thread in
 //    schedule order, so outputs are bitwise identical at 1, 2, 3 and 4
 //    OpenMP threads and inside a pool task;
@@ -134,6 +134,31 @@ std::vector<Case> cases() {
     c.make = heavy_slices_tensor;
     out.push_back(c);
   }
+  {
+    // Order 2: a B-CSF fiber is its slice, so no level scales it.
+    Case c;
+    c.name = "order2";
+    c.config.dims = {300, 200};
+    c.config.target_nnz = 6000;
+    c.config.slice_alpha = 0.6;
+    c.config.max_slice_frac = 0.1;
+    c.config.singleton_slice_frac = 0.1;
+    c.config.seed = 76;
+    out.push_back(c);
+  }
+  {
+    // Order 5: each fiber is scaled by its own row and two middle levels.
+    Case c;
+    c.name = "order5";
+    c.config.dims = {24, 16, 12, 10, 40};
+    c.config.target_nnz = 6000;
+    c.config.slice_alpha = 0.6;
+    c.config.fiber_alpha = 0.8;
+    c.config.max_fiber_len = 30;
+    c.config.singleton_slice_frac = 0.1;
+    c.config.seed = 77;
+    out.push_back(c);
+  }
   return out;
 }
 
@@ -175,9 +200,9 @@ std::vector<DenseMatrix> abs_copy(const std::vector<DenseMatrix>& factors) {
 }
 
 // ---------------------------------------------------------------------------
-// Scalar oracles: the engine's runtime-rank loops over each format's work
-// units in schedule order, written out one output entry (lane r) at a
-// time.  Each adds into `out`, which holds dims[root] x R zeros.
+// Scalar oracles: each format's work units in schedule order, written
+// out one output entry (lane r) at a time.  Each adds into `out`, which
+// holds dims[root] x R zeros.
 // ---------------------------------------------------------------------------
 
 const value_t* row_of(const DenseMatrix& m, index_t i) {
@@ -454,15 +479,16 @@ TEST_P(EngineTest, RealValuedOutputsStayWithinTheForwardErrorBound) {
 
 INSTANTIATE_TEST_SUITE_P(
     Sweep, EngineTest,
-    ::testing::Combine(::testing::Range(0, 4),
-                       ::testing::Values<rank_t>(1, 8, 16, 17, 32)),
+    ::testing::Combine(
+        ::testing::Range(0, static_cast<int>(cases().size())),
+        ::testing::Values<rank_t>(1, 8, 16, 17, 32)),
     [](const ::testing::TestParamInfo<std::tuple<int, rank_t>>& info) {
       return cases()[std::get<0>(info.param)].name + "_r" +
              std::to_string(std::get<1>(info.param));
     });
 
 /// Ranks on both sides of the register-tile limit (16), every tile width
-/// with and without a partial vector, and the runtime loops' 17 and 32.
+/// with and without a partial vector, and the scratch rows' 17 and 32.
 const rank_t kOracleRanks[] = {1, 2, 3, 4, 5, 7, 8, 12, 15, 16, 17, 32};
 
 class EngineOracleTest
@@ -512,8 +538,9 @@ TEST_P(EngineOracleTest, BcsfEngineMatchesTheScalarLoopsUnderBothCombines) {
 
 INSTANTIATE_TEST_SUITE_P(
     Ranks, EngineOracleTest,
-    ::testing::Combine(::testing::Range(0, 4),
-                       ::testing::ValuesIn(kOracleRanks)),
+    ::testing::Combine(
+        ::testing::Range(0, static_cast<int>(cases().size())),
+        ::testing::ValuesIn(kOracleRanks)),
     [](const ::testing::TestParamInfo<std::tuple<int, rank_t>>& info) {
       return cases()[std::get<0>(info.param)].name + "_r" +
              std::to_string(std::get<1>(info.param));
