@@ -1,8 +1,8 @@
 // google-benchmark microbenchmarks of the host-side building blocks:
 // format construction, the simulator's cost walk, warm plan executes
-// through the FormatRegistry -- the arithmetic engine behind the
-// simulated formats next to the real CPU kernels, plus a rank sweep of
-// the engine on a served tenant's shape, so every engine walk (B-CSF
+// through the FormatRegistry -- one row per runnable registry key, the
+// simulated formats and the real CPU kernels, plus a rank sweep of the
+// engine on a served tenant's shape, so every engine walk (B-CSF
 // blocks, CSL segments, per-nonzero products, F-COO chunks) has a
 // timing row -- the delta sweep of a served
 // answer, the CPD-ALS dense kernels (Gram, SPD right-solve), and sketch
@@ -115,6 +115,8 @@ void BM_Execute(benchmark::State& state, const char* format) {
   }
   report_gflops(state);
 }
+BENCHMARK_CAPTURE(BM_Execute, gpu_csf, "gpu-csf")
+    ->Unit(benchmark::kMillisecond);
 BENCHMARK_CAPTURE(BM_Execute, bcsf, "bcsf")->Unit(benchmark::kMillisecond);
 BENCHMARK_CAPTURE(BM_Execute, hbcsf, "hbcsf")->Unit(benchmark::kMillisecond);
 BENCHMARK_CAPTURE(BM_Execute, csl, "csl")->Unit(benchmark::kMillisecond);
@@ -124,21 +126,14 @@ BENCHMARK_CAPTURE(BM_Execute, reference, "reference")
     ->Unit(benchmark::kMillisecond);
 BENCHMARK_CAPTURE(BM_Execute, cpu_csf, "cpu-csf")
     ->Unit(benchmark::kMillisecond);
-
-/// cpu-coo through its plan, which sorts the slice order once at build.
-void BM_MttkrpCooCpu(benchmark::State& state) {
-  BM_Execute(state, "cpu-coo");
-}
-BENCHMARK(BM_MttkrpCooCpu)->Unit(benchmark::kMillisecond);
-
-void BM_MttkrpHicooCpu(benchmark::State& state) {
-  const HicooTensor h = build_hicoo(bench_tensor());
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(mttkrp_hicoo_cpu(h, 0, bench_factors()));
-  }
-  report_gflops(state);
-}
-BENCHMARK(BM_MttkrpHicooCpu)->Unit(benchmark::kMillisecond);
+BENCHMARK_CAPTURE(BM_Execute, cpu_coo, "cpu-coo")
+    ->Unit(benchmark::kMillisecond);
+BENCHMARK_CAPTURE(BM_Execute, cpu_csl, "cpu-csl")
+    ->Unit(benchmark::kMillisecond);
+BENCHMARK_CAPTURE(BM_Execute, cpu_csf_tiled, "cpu-csf-tiled")
+    ->Unit(benchmark::kMillisecond);
+BENCHMARK_CAPTURE(BM_Execute, cpu_hicoo, "cpu-hicoo")
+    ->Unit(benchmark::kMillisecond);
 
 /// The CPD-ALS dense work at the enron twin's largest mode (244268 x 32):
 /// the factor's Gram and the right solve against a 32 x 32 SPD V.

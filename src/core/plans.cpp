@@ -195,13 +195,14 @@ class HbcsfPlan final : public GpuPlanBase {
   HbcsfTensor hb_;
 };
 
-// COO's format IS the source tensor, so the COO-family plans reference
-// it instead of copying: construction stays free (the paper's
-// zero-preprocessing COO, Figs. 9/10) and no O(nnz) memory is
-// duplicated.  The registry contract makes the caller keep the tensor
-// alive AND immutable for the plan's lifetime (serving snapshots are
-// versioned, never edited in place), so memoizing the COO cost walk per
-// rank is sound too.  cpu-coo adds a slice order built once per plan.
+// COO's format IS the source tensor, so the COO-family plans (coo,
+// cpu-coo, reference) reference it instead of copying: construction
+// stays free (the paper's zero-preprocessing COO, Figs. 9/10) and no
+// O(nnz) memory is duplicated.  The registry contract makes the caller
+// keep the tensor alive AND immutable for the plan's lifetime (serving
+// snapshots are versioned, never edited in place), so memoizing the COO
+// cost walk per rank is sound too.  cpu-coo adds a slice order built
+// once per plan.
 class GpuCooPlan final : public GpuPlanBase {
  public:
   GpuCooPlan(const SparseTensor& t, index_t mode, const PlanOptions& o)
@@ -244,173 +245,178 @@ class FcooPlan final : public GpuPlanBase {
 };
 
 // ---------------------------------------------------------------------------
-// Real CPU plans (OpenMP kernels, wall-clock reports)
+// Real CPU plans (wall-clock reports)
 // ---------------------------------------------------------------------------
 
-// The two COO CPU plans override execute() with the fused kernels from
-// kernels/ttv_fit.hpp: TTV drops the rank machinery entirely and FIT
-// never materializes the MTTKRP matrix, instead of riding the generic
-// rank-1 / contract-after-run path every other format uses.  The shared
-// dispatch lives here, parameterized on the two kernels:
-// ttv(vectors) -> DenseMatrix and fit(tensor, factors, lambda) -> double.
-template <typename TtvKernel, typename FitKernel>
-OpResult coo_family_execute(const TensorOpPlan& plan,
-                            const SparseTensor& tensor, const OpRequest& req,
-                            TtvKernel ttv, FitKernel fit) {
-  OpResult res;
-  Timer t;
-  switch (req.kind) {
-    case OpKind::kTtv:
-      res.output = ttv(*req.factors);
-      res.report = cpu_report(plan.display_name(), t.seconds(),
-                              tensor.order(), tensor.nnz(), 1);
-      break;
-    case OpKind::kFit:
-      res.scalar = fit(tensor, *req.factors, req.lambda);
-      res.report = cpu_report(plan.display_name(), t.seconds(),
-                              tensor.order(), tensor.nnz(),
-                              req.factors->front().cols());
-      break;
-    case OpKind::kMttkrp:
-    case OpKind::kStats:
-      break;  // MTTKRP rides the base path; kStats never reaches plans
+/// Every real CPU plan: run_into() times the format's kernel writing into
+/// the caller's matrix and reports the wall clock (cpu_report), and run()
+/// is run_into() on a fresh matrix -- GpuPlanBase's shape, with a
+/// measured report in place of the cost walk.
+class CpuPlanBase : public TensorOpPlan {
+ public:
+  CpuPlanBase(std::string format, std::string display, const SparseTensor& t,
+              index_t mode)
+      : TensorOpPlan(std::move(format), std::move(display), mode),
+        order_(t.order()),
+        nnz_(t.nnz()) {}
+  bool is_gpu() const override { return false; }
+  PlanRunResult run(const std::vector<DenseMatrix>& f) const final {
+    PlanRunResult r;
+    r.report = run_into(f, r.output);
+    return r;
   }
-  return res;
-}
+  SimReport run_into(const std::vector<DenseMatrix>& f,
+                     DenseMatrix& out) const final {
+    Timer t;
+    compute(f, out);
+    return cpu_report(display_name(), t.seconds(), order_, nnz_, out.cols());
+  }
 
-class ReferencePlan final : public TensorOpPlan {
+ protected:
+  /// The format's MTTKRP into `out`: the arithmetic engine for cpu-csf and
+  /// cpu-coo, which writes in place, and a kernel's returned matrix for
+  /// the others.
+  virtual void compute(const std::vector<DenseMatrix>& f,
+                       DenseMatrix& out) const = 0;
+
+ private:
+  index_t order_;
+  offset_t nnz_;
+};
+
+/// Fuses TTV and FIT into the double-accumulating reference kernels
+/// (kernels/ttv_fit.hpp), the ground truth of every other key.
+class ReferencePlan final : public CpuPlanBase {
  public:
   ReferencePlan(const SparseTensor& t, index_t mode, const PlanOptions&)
-      : TensorOpPlan("reference", "Reference-COO", mode), tensor_(&t) {}
-  bool is_gpu() const override { return false; }
+      : CpuPlanBase("reference", "Reference-COO", t, mode), tensor_(&t) {}
   std::size_t storage_bytes() const override {
     return tensor_->index_storage_bytes();
   }
-  PlanRunResult run(const std::vector<DenseMatrix>& f) const override {
-    Timer t;
-    DenseMatrix out = mttkrp_reference(*tensor_, mode(), f);
-    const rank_t rank = out.cols();
-    return {std::move(out), cpu_report(display_name(), t.seconds(),
-                                       tensor_->order(), tensor_->nnz(), rank)};
-  }
   OpResult execute(const OpRequest& req) const override {
-    if (req.kind == OpKind::kMttkrp) return TensorOpPlan::execute(req);
+    if (req.kind != OpKind::kTtv && req.kind != OpKind::kFit) {
+      return TensorOpPlan::execute(req);
+    }
     check_request(req);
-    return coo_family_execute(
-        *this, *tensor_, req,
-        [&](const std::vector<DenseMatrix>& v) {
-          return ttv_reference(*tensor_, mode(), v);
-        },
-        fit_inner_reference);
+    OpResult res;
+    Timer t;
+    rank_t rank = 1;
+    if (req.kind == OpKind::kTtv) {
+      res.output = ttv_reference(*tensor_, mode(), *req.factors);
+    } else {
+      res.scalar = fit_inner_reference(*tensor_, *req.factors, req.lambda);
+      rank = req.factors->front().cols();
+    }
+    res.report = cpu_report(display_name(), t.seconds(), tensor_->order(),
+                            tensor_->nnz(), rank);
+    return res;
   }
 
  private:
+  void compute(const std::vector<DenseMatrix>& f,
+               DenseMatrix& out) const override {
+    out = mttkrp_reference(*tensor_, mode(), f);
+  }
+
   const SparseTensor* tensor_;
 };
 
 /// References the tensor like every COO-family plan, plus its mode's
 /// slice order, sorted once at build (charged to build_seconds() and
-/// storage_bytes()) so MTTKRP and TTV sweep it instead of sorting a copy
-/// of the tensor on every call.
-class CpuCooPlan final : public TensorOpPlan {
+/// storage_bytes()).  The engine's per-nonzero product loop sweeps it in
+/// slice-owned ranges.
+class CpuCooPlan final : public CpuPlanBase {
  public:
   CpuCooPlan(const SparseTensor& t, index_t mode, const PlanOptions&)
-      : TensorOpPlan("cpu-coo", "CPU-COO", mode),
+      : CpuPlanBase("cpu-coo", "CPU-COO", t, mode),
         tensor_(&t),
         order_(build_coo_slice_order(t, mode)) {}
-  bool is_gpu() const override { return false; }
   std::size_t storage_bytes() const override {
     return tensor_->index_storage_bytes() + order_.bytes();
   }
-  PlanRunResult run(const std::vector<DenseMatrix>& f) const override {
-    Timer t;
-    DenseMatrix out = mttkrp_coo_cpu(*tensor_, order_, f);
-    const rank_t rank = out.cols();
-    return {std::move(out), cpu_report(display_name(), t.seconds(),
-                                       tensor_->order(), tensor_->nnz(), rank)};
-  }
-  OpResult execute(const OpRequest& req) const override {
-    if (req.kind == OpKind::kMttkrp) return TensorOpPlan::execute(req);
-    check_request(req);
-    return coo_family_execute(
-        *this, *tensor_, req,
-        [&](const std::vector<DenseMatrix>& v) {
-          return ttv_coo_cpu(*tensor_, order_, v);
-        },
-        fit_inner_coo_cpu);
-  }
 
  private:
+  void compute(const std::vector<DenseMatrix>& f,
+               DenseMatrix& out) const override {
+    coo_engine(*tensor_, order_, f, out);
+  }
+
   const SparseTensor* tensor_;
   CooSliceOrder order_;
 };
 
-class CpuCsfPlan final : public TensorOpPlan {
+/// SPLATT's CSF loop (Alg. 3) is GPU-CSF's schedule: the B-CSF walk over
+/// an unsplit B-CSF, whose index storage is the CSF tree's.
+class CpuCsfPlan final : public CpuPlanBase {
  public:
-  CpuCsfPlan(const SparseTensor& t, index_t mode, const PlanOptions&,
-             index_t tiles = 0)
-      : TensorOpPlan(tiles ? "cpu-csf-tiled" : "cpu-csf",
-                   tiles ? "SPLATT-tiled" : "SPLATT", mode),
-        csf_(build_csf(t, mode)),
-        tiles_(tiles) {}
-  bool is_gpu() const override { return false; }
+  CpuCsfPlan(const SparseTensor& t, index_t mode, const PlanOptions&)
+      : CpuPlanBase("cpu-csf", "SPLATT", t, mode),
+        unsplit_(build_bcsf(t, mode, BcsfOptions::unsplit())) {}
+  std::size_t storage_bytes() const override {
+    return unsplit_.index_storage_bytes();
+  }
+
+ private:
+  void compute(const std::vector<DenseMatrix>& f,
+               DenseMatrix& out) const override {
+    bcsf_engine(unsplit_, f, out);
+  }
+
+  BcsfTensor unsplit_;
+};
+
+class CpuCsfTiledPlan final : public CpuPlanBase {
+ public:
+  CpuCsfTiledPlan(const SparseTensor& t, index_t mode, const PlanOptions&)
+      : CpuPlanBase("cpu-csf-tiled", "SPLATT-tiled", t, mode),
+        csf_(build_csf(t, mode)) {}
   std::size_t storage_bytes() const override {
     return csf_.index_storage_bytes();
   }
-  PlanRunResult run(const std::vector<DenseMatrix>& f) const override {
-    Timer t;
-    DenseMatrix out = tiles_ ? mttkrp_csf_cpu_tiled(csf_, f, tiles_)
-                             : mttkrp_csf_cpu(csf_, f);
-    const rank_t rank = out.cols();
-    return {std::move(out), cpu_report(display_name(), t.seconds(),
-                                       csf_.order(), csf_.nnz(), rank)};
-  }
 
  private:
+  /// Leaf-index tiles per MTTKRP.
+  static constexpr index_t kTiles = 4;
+
+  void compute(const std::vector<DenseMatrix>& f,
+               DenseMatrix& out) const override {
+    out = mttkrp_csf_cpu_tiled(csf_, f, kTiles);
+  }
+
   CsfTensor csf_;
-  index_t tiles_;
 };
 
-class CpuCslPlan final : public TensorOpPlan {
+class CpuCslPlan final : public CpuPlanBase {
  public:
   CpuCslPlan(const SparseTensor& t, index_t mode, const PlanOptions&)
-      : TensorOpPlan("cpu-csl", "CPU-CSL", mode), csl_(build_csl(t, mode)) {}
-  bool is_gpu() const override { return false; }
+      : CpuPlanBase("cpu-csl", "CPU-CSL", t, mode), csl_(build_csl(t, mode)) {}
   std::size_t storage_bytes() const override {
     return csl_.index_storage_bytes();
   }
-  PlanRunResult run(const std::vector<DenseMatrix>& f) const override {
-    Timer t;
-    DenseMatrix out = mttkrp_csl_cpu(csl_, f);
-    const rank_t rank = out.cols();
-    return {std::move(out), cpu_report(display_name(), t.seconds(),
-                                       csl_.order(), csl_.nnz(), rank)};
-  }
 
  private:
+  void compute(const std::vector<DenseMatrix>& f,
+               DenseMatrix& out) const override {
+    out = mttkrp_csl_cpu(csl_, f);
+  }
+
   CslTensor csl_;
 };
 
-class CpuHicooPlan final : public TensorOpPlan {
+class CpuHicooPlan final : public CpuPlanBase {
  public:
   CpuHicooPlan(const SparseTensor& t, index_t mode, const PlanOptions&)
-      : TensorOpPlan("cpu-hicoo", "HiCOO", mode),
-        order_(t.order()),
-        hicoo_(build_hicoo(t)) {}
-  bool is_gpu() const override { return false; }
+      : CpuPlanBase("cpu-hicoo", "HiCOO", t, mode), hicoo_(build_hicoo(t)) {}
   std::size_t storage_bytes() const override {
     return hicoo_.index_storage_bytes();
   }
-  PlanRunResult run(const std::vector<DenseMatrix>& f) const override {
-    Timer t;
-    DenseMatrix out = mttkrp_hicoo_cpu(hicoo_, mode(), f);
-    const rank_t rank = out.cols();
-    return {std::move(out), cpu_report(display_name(), t.seconds(), order_,
-                                       hicoo_.nnz(), rank)};
-  }
 
  private:
-  index_t order_;
+  void compute(const std::vector<DenseMatrix>& f,
+               DenseMatrix& out) const override {
+    out = mttkrp_hicoo_cpu(hicoo_, mode(), f);
+  }
+
   HicooTensor hicoo_;
 };
 
@@ -505,17 +511,16 @@ FormatRegistrar r_reference{
     {"reference", "Reference-COO", "sequential double-accumulation ground truth",
      PlanKind::kCpu, false, make<ReferencePlan>()}};
 FormatRegistrar r_cpu_coo{
-    {"cpu-coo", "CPU-COO", "OpenMP COO, slice order sorted at build (Alg. 2)",
+    {"cpu-coo", "CPU-COO",
+     "COO slices on the engine, slice order sorted at build (Alg. 2)",
      PlanKind::kCpu, false, make<CpuCooPlan>()}};
 FormatRegistrar r_cpu_csf{
-    {"cpu-csf", "SPLATT", "OpenMP CSF, parallel over slices (Alg. 3)",
+    {"cpu-csf", "SPLATT",
+     "CSF on the engine (unsplit B-CSF), slice-owned ranges (Alg. 3)",
      PlanKind::kCpu, true, make<CpuCsfPlan>()}};
 FormatRegistrar r_cpu_csf_tiled{
     {"cpu-csf-tiled", "SPLATT-tiled", "cache-blocked OpenMP CSF (4 tiles)",
-     PlanKind::kCpu, true,
-     [](const SparseTensor& t, index_t mode, const PlanOptions& o) {
-       return PlanPtr(new CpuCsfPlan(t, mode, o, 4));
-     }}};
+     PlanKind::kCpu, true, make<CpuCsfTiledPlan>()}};
 FormatRegistrar r_cpu_csl{
     {"cpu-csl", "CPU-CSL", "OpenMP CSL, parallel over slices (Alg. 4)",
      PlanKind::kCpu, true, make<CpuCslPlan>()}};

@@ -130,7 +130,8 @@ class TensorOpPlan {
   /// run() into a caller-owned matrix: `out` ends up dims[mode()] x R
   /// (resized when its shape differs) holding bitwise run()'s output, and
   /// the report is returned.  `out` may alias factors[mode()] -- MTTKRP_n
-  /// never reads A_n -- but no other factor.  The simulated GPU plans
+  /// never reads A_n -- but no other factor.  The plans that run the
+  /// arithmetic engine (every simulated GPU key, cpu-csf and cpu-coo)
   /// write into `out`'s storage, so a CPD-ALS mode update allocates
   /// nothing; the base implementation is run() plus a move.
   virtual SimReport run_into(const std::vector<DenseMatrix>& factors,
@@ -141,8 +142,9 @@ class TensorOpPlan {
   /// implementation reuses the format's run() traversal -- TTV executes
   /// it at rank 1, FIT contracts its output with factors[mode] and
   /// lambda in double precision -- so every format supports every op
-  /// with zero per-format kernel code.  Overrides may fuse (the COO
-  /// family substitutes the dedicated kernels in kernels/ttv_fit.hpp).
+  /// with zero per-format kernel code.  Overrides may fuse; only
+  /// "reference" does, with the double-accumulating kernels in
+  /// kernels/ttv_fit.hpp.
   virtual OpResult execute(const OpRequest& request) const;
 
  protected:

@@ -15,7 +15,8 @@
 //     (cp_inner_from_mttkrp, the FIT op's own contraction), which the
 //     sweep has already computed, so no extra tensor traversal;
 //   * each mode update writes MTTKRP straight into A_n through the plan's
-//     run_into() and solves in place (the simulated GPU plans allocate
+//     run_into() and solves in place (the plans that run the arithmetic
+//     engine -- the simulated GPU keys, cpu-csf and cpu-coo -- allocate
 //     nothing per update).
 //
 // The backend is any format registered in the FormatRegistry ("hbcsf",
@@ -50,7 +51,7 @@ struct CpdOptions {
   double fit_tolerance = 1e-5;
   std::uint64_t seed = 7;
   /// FormatRegistry key of the MTTKRP backend.  "reference" is the
-  /// sequential ground truth, "cpu-csf" the SPLATT-style OpenMP kernel,
+  /// sequential ground truth, "cpu-csf" SPLATT's CSF loop on the engine,
   /// "hbcsf" the paper's system, "auto" the §V + Fig-10 selection policy,
   /// "sharded" K nnz-balanced shard plans reduced per call (§8).
   std::string format = "cpu-csf";

@@ -350,16 +350,29 @@ template <typename Rows>
   }
 }
 
-/// Nonzeros [begin, end) that each add their product straight to their
-/// output row out_rows[z]: HB-CSF's singletons and the COO engine.
-template <typename Rows>
-[[gnu::noinline]] void add_products(const Rows& rows, const index_t* out_rows,
-                                    const value_t* values,
-                                    std::span<const RowSource> modes,
-                                    offset_t begin, offset_t end,
-                                    value_t* out) {
+/// The identity index map: unit u is nonzero u.
+struct SameIds {
+  offset_t operator[](offset_t u) const { return u; }
+};
+
+/// Units [begin, end), each the nonzero z = ids[u], that add their
+/// product straight to their output row out_rows[z]: HB-CSF's singletons
+/// and COO in storage order (SameIds), and a CooSliceOrder's slices (ids
+/// = its perm).  Flattened: with three callers of product(), GCC
+/// otherwise keeps its rank 9-16 tile version out of line, where the tile
+/// round-trips the stack on every nonzero; forcing product() inline
+/// everywhere instead changed the CSL walk's register allocation, and
+/// rank-32 `csl` ran ~1.6x slower at 4 threads.  Starts on a cache line:
+/// the rank-1 COO loop ran ~1.4x slower when unrelated code moved its
+/// identical instructions 32 bytes.
+template <typename Rows, typename Ids>
+[[gnu::noinline, gnu::flatten, gnu::aligned(64)]] void add_products(
+    const Rows& rows, Ids ids, const index_t* out_rows, const value_t* values,
+    std::span<const RowSource> modes, offset_t begin, offset_t end,
+    value_t* out) {
   typename Rows::Row p = rows.row(0);
-  for (offset_t z = begin; z < end; ++z) {
+  for (offset_t u = begin; u < end; ++u) {
+    const offset_t z = ids[u];
     product(rows, p, values[z], modes, z);
     p.add_to(rows.at(out, out_rows[z]));
   }
@@ -420,6 +433,16 @@ void append_ranges(const CslTensor& csl, offset_t target,
       [](offset_t) { return true; }, out);
 }
 
+/// The non-root rows of a COO nonzero: the other modes in increasing
+/// order.
+std::vector<RowSource> coo_sources(const SparseTensor& tensor, index_t mode,
+                                   const std::vector<DenseMatrix>& factors) {
+  const ModeOrder order = mode_order_for(mode, tensor.order());
+  return position_sources(order, factors, [&](index_t p) {
+    return tensor.mode_indices(order[p + 1]).data();
+  });
+}
+
 /// Team-thread number inside the engine's region.
 int team_thread() {
 #ifdef _OPENMP
@@ -473,6 +496,17 @@ std::vector<EngineRange> engine_ranges(const BcsfTensor& bcsf, int team) {
 std::vector<EngineRange> engine_ranges(const CslTensor& csl, int team) {
   std::vector<EngineRange> out;
   append_ranges(csl, range_target(csl.nnz(), team), out);
+  return heaviest_first(std::move(out));
+}
+
+std::vector<EngineRange> engine_ranges(const CooSliceOrder& order, int team) {
+  const offset_vec& start = order.slice_start;
+  std::vector<EngineRange> out;
+  cut_ranges(
+      EngineRange::Units::kCooSlices, start.empty() ? 0 : start.size() - 1,
+      range_target(order.perm.size(), team),
+      [&](offset_t s) { return start[s + 1] - start[s]; },
+      [](offset_t) { return true; }, out);
   return heaviest_first(std::move(out));
 }
 
@@ -550,9 +584,11 @@ void hbcsf_engine(const HbcsfTensor& hbcsf,
         csl_walk(hbcsf.csl(), rows, csl_modes, seg_nnz, r.begin, r.end, y);
         break;
       case EngineRange::Units::kSingletons:
-        add_products(rows, hbcsf.coo_indices(0).data(),
+        add_products(rows, SameIds{}, hbcsf.coo_indices(0).data(),
                      hbcsf.coo_values().data(), coo_modes, r.begin, r.end, y);
         break;
+      case EngineRange::Units::kCooSlices:
+        break;  // no HB-CSF group
     }
   });
 }
@@ -563,17 +599,33 @@ void coo_engine(const SparseTensor& tensor, index_t mode,
   BCSF_CHECK(mode < tensor.order(), "coo_engine: bad mode");
   const rank_t rank = factors.front().cols();
   reset_output(out, tensor.dim(mode), rank);
-  // The other modes in increasing order.
-  const ModeOrder order = mode_order_for(mode, tensor.order());
-  const std::vector<RowSource> modes =
-      position_sources(order, factors, [&](index_t p) {
-        return tensor.mode_indices(order[p + 1]).data();
-      });
+  const std::vector<RowSource> modes = coo_sources(tensor, mode, factors);
   with_rows(rank, [&](const auto& rows) {
     std::vector<value_t> scratch(rows.scratch_floats());
-    add_products(rows.in(scratch.data()), tensor.mode_indices(mode).data(),
-                 tensor.values().data(), modes, 0, tensor.nnz(),
-                 out.data().data());
+    add_products(rows.in(scratch.data()), SameIds{},
+                 tensor.mode_indices(mode).data(), tensor.values().data(),
+                 modes, 0, tensor.nnz(), out.data().data());
+  });
+}
+
+void coo_engine(const SparseTensor& tensor, const CooSliceOrder& order,
+                const std::vector<DenseMatrix>& factors, DenseMatrix& out) {
+  check_factors(tensor.dims(), factors);
+  BCSF_CHECK(order.mode < tensor.order() && order.perm.size() == tensor.nnz(),
+             "coo_engine: slice order built for another tensor");
+  const index_t mode = order.mode;
+  const rank_t rank = factors.front().cols();
+  reset_output(out, tensor.dim(mode), rank);
+  const int team = kernel_team_size();
+  const std::vector<EngineRange> ranges = engine_ranges(order, team);
+  const std::vector<RowSource> modes = coo_sources(tensor, mode, factors);
+  const offset_t* perm = order.perm.data();
+  const offset_t* start = order.slice_start.data();
+  value_t* y = out.data().data();
+  run_ranges(ranges, team, rank, [&](const EngineRange& r, const auto& rows) {
+    add_products(rows, perm, tensor.mode_indices(mode).data(),
+                 tensor.values().data(), modes, start[r.begin], start[r.end],
+                 y);
   });
 }
 

@@ -1,4 +1,5 @@
-// The arithmetic engine behind every simulated GPU format (DESIGN.md §1).
+// The arithmetic engine behind every simulated GPU format and the cpu-csf
+// and cpu-coo keys (DESIGN.md §1).
 //
 // A simulated kernel is two independent halves.  Its cost walk
 // (simulate_*_gpu in kernels/mttkrp.hpp) turns the index structure, the
@@ -7,7 +8,10 @@
 // in schedule order: B-CSF blocks, CSL warp segments, HB-CSF's three
 // slice groups written into one output, COO nonzeros and F-COO chunks.
 // A GPU plan pays the walk once per rank (SimMemo) and the engine on
-// every call.
+// every call.  Two real CPU keys run the same walks and time them with a
+// wall clock: cpu-csf is SPLATT's CSF loop (Alg. 3), which is the B-CSF
+// walk over an unsplit B-CSF, and cpu-coo is the per-nonzero product
+// loop over a CooSliceOrder's slices.
 //
 // Rank loops: each work-unit walk -- B-CSF blocks, CSL warp segments and
 // the per-nonzero product loop of HB-CSF's singletons and COO -- is
@@ -21,14 +25,15 @@
 // as the warp lane of the simulated schedule, so the two agree bit for
 // bit (DESIGN.md §1).
 //
-// Threading: the B-CSF, CSL and HB-CSF engines cut their work units
-// into nnz-weighted ranges that each own their output rows (engine_ranges
-// below) and share them out in ONE OpenMP region of kernel_team_size()
-// threads per call, one range at a time.  A range runs its units in
-// schedule order, so each output row is still accumulated by one thread
-// in that order and outputs are bitwise identical at every team size,
-// inside pool tasks (a team of 1) included.  COO and F-COO stay
-// sequential: their work units share output rows.
+// Threading: the B-CSF, CSL, HB-CSF and slice-order COO engines cut
+// their work units into nnz-weighted ranges that each own their output
+// rows (engine_ranges below) and share them out in ONE OpenMP region of
+// kernel_team_size() threads per call, one range at a time.  A range
+// runs its units in schedule order, so each output row is still
+// accumulated by one thread in that order and outputs are bitwise
+// identical at every team size, inside pool tasks (a team of 1)
+// included.  COO in storage order and F-COO stay sequential: their work
+// units share output rows.
 #pragma once
 
 #include <algorithm>
@@ -64,12 +69,14 @@ inline offset_t fcoo_chunk_nnz(const FcooTensor& fcoo,
 /// A run of one group's work units that one team thread takes whole.  A
 /// range owns every output row its units write: B-CSF ranges are cut
 /// only where the slice changes, so a slice's slc-split blocks always
-/// share one, and CSL slices and HB-CSF singletons are never shared.
+/// share one, and CSL slices, HB-CSF singletons and CooSliceOrder slices
+/// are never shared.
 struct EngineRange {
   enum class Units : std::uint8_t {
     kBcsfBlocks,  ///< indices into BcsfTensor::blocks()
     kCslSlices,   ///< CslTensor slices
     kSingletons,  ///< HB-CSF COO-group nonzeros, one slice each
+    kCooSlices,   ///< CooSliceOrder slices
   };
   Units units = Units::kBcsfBlocks;
   offset_t begin = 0;
@@ -87,6 +94,7 @@ struct EngineRange {
 std::vector<EngineRange> engine_ranges(const BcsfTensor& bcsf, int team);
 std::vector<EngineRange> engine_ranges(const CslTensor& csl, int team);
 std::vector<EngineRange> engine_ranges(const HbcsfTensor& hbcsf, int team);
+std::vector<EngineRange> engine_ranges(const CooSliceOrder& order, int team);
 
 // Every engine writes MTTKRP into `out`, shaped to dims[root] x R (reusing
 // its storage when the shape already matches) and zeroed first.  `out`
@@ -110,6 +118,12 @@ void hbcsf_engine(const HbcsfTensor& hbcsf,
 
 /// ParTI-COO: nonzeros in storage order, sequential.
 void coo_engine(const SparseTensor& tensor, index_t mode,
+                const std::vector<DenseMatrix>& factors, DenseMatrix& out);
+
+/// cpu-coo: the nonzeros of `order`'s slices, in its sort order, each
+/// adding its product to its output row; mode order.mode.  Throws
+/// bcsf::Error when `order` was built for another tensor.
+void coo_engine(const SparseTensor& tensor, const CooSliceOrder& order,
                 const std::vector<DenseMatrix>& factors, DenseMatrix& out);
 
 /// F-COO: fcoo_chunk_nnz chunks in order, sequential.

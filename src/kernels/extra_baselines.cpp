@@ -75,10 +75,6 @@ DenseMatrix mttkrp_csf_cpu_onemode(const CsfTensor& csf, index_t target,
   const index_t leaf_mode = order.back();
   DenseMatrix out(csf.dims()[target], rank);
 
-  if (target == csf.root_mode()) {
-    return mttkrp_csf_cpu(csf, factors);  // the fast path
-  }
-
   // Find target's position in the mode ordering.
   index_t target_pos = 0;
   for (index_t p = 0; p < csf.order(); ++p) {

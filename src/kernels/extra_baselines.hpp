@@ -37,11 +37,12 @@ DenseMatrix mttkrp_gigatensor_cpu(const SparseTensor& tensor, index_t mode,
 DenseMatrix mttkrp_dfacto_cpu(const CsfTensor& csf,
                               const std::vector<DenseMatrix>& factors);
 
-/// SPLATT ONEMODE: computes mode-`target` MTTKRP using a CSF rooted at a
-/// *different* mode.  Walks the tree once, forming for every nonzero the
-/// product of all factor rows except target's, scattered into the target
-/// coordinate's output row.  Works for any order; slower than the
-/// root-mode kernel, which is exactly the paper's point.
+/// SPLATT ONEMODE: computes mode-`target` MTTKRP from one CSF tree,
+/// usually rooted at a *different* mode.  Walks the tree once, forming
+/// for every nonzero the product of all factor rows except target's,
+/// scattered into the target coordinate's output row.  Works for any
+/// order and any target, the root included; slower than the root-mode
+/// kernel (the cpu-csf plan), which is exactly the paper's point.
 DenseMatrix mttkrp_csf_cpu_onemode(const CsfTensor& csf, index_t target,
                                    const std::vector<DenseMatrix>& factors);
 

@@ -5,9 +5,11 @@
 // from the index structure, the rank and the device alone, and an
 // arithmetic engine (kernels/engine.hpp) that computes the real fp32
 // output over the same work units in schedule order.  mttkrp_*_gpu runs
-// both.  CPU kernels are real OpenMP code timed with wall clocks; the
-// cross-platform figures additionally use the analytic Broadwell model in
-// cpu_model.hpp (see DESIGN.md §1).
+// both.  CPU kernels are real OpenMP code timed with wall clocks: the
+// cpu-csf and cpu-coo plans run the engine's B-CSF walk and per-nonzero
+// product loop, and the CSL, tiled-CSF and HiCOO kernels below keep their
+// own loops.  The cross-platform figures additionally use the analytic
+// Broadwell model in cpu_model.hpp (see DESIGN.md §1).
 //
 // Convention: `factors` holds one matrix per tensor mode (factors[m] has
 // dims[m] rows, all with equal rank).  Mode-n MTTKRP reads every factor
@@ -167,9 +169,10 @@ SimReport simulate_hbcsf_gpu(const HbcsfTensor& hbcsf, rank_t rank,
 
 /// A COO tensor's nonzeros grouped by mode-`mode` slice, without moving
 /// them: `perm` lists nonzero ids in mode_order_for(mode) sort order and
-/// slice s owns perm[slice_start[s], slice_start[s + 1]).  The COO CPU
-/// kernels hand whole slices to threads, so no two threads share an
-/// output row; the cpu-coo plan builds this once instead of per call.
+/// slice s owns perm[slice_start[s], slice_start[s + 1]).  cpu-coo's
+/// engine (coo_engine in kernels/engine.hpp) hands whole slices to
+/// threads, so no two threads share an output row; the cpu-coo plan
+/// builds this once instead of per call.
 struct CooSliceOrder {
   index_t mode = 0;
   offset_vec perm;
@@ -181,20 +184,6 @@ struct CooSliceOrder {
 };
 
 CooSliceOrder build_coo_slice_order(const SparseTensor& tensor, index_t mode);
-
-/// Parallel COO MTTKRP (Algorithm 2): whole slices per thread, so output
-/// rows need no privatization.  Builds the slice order per call.
-DenseMatrix mttkrp_coo_cpu(const SparseTensor& tensor, index_t mode,
-                           const std::vector<DenseMatrix>& factors);
-
-/// Same, sweeping a prebuilt slice order of `tensor`.
-DenseMatrix mttkrp_coo_cpu(const SparseTensor& tensor,
-                           const CooSliceOrder& order,
-                           const std::vector<DenseMatrix>& factors);
-
-/// SPLATT-style CSF MTTKRP (Algorithm 3), parallel over slices.
-DenseMatrix mttkrp_csf_cpu(const CsfTensor& csf,
-                           const std::vector<DenseMatrix>& factors);
 
 /// CSL MTTKRP (Algorithm 4), parallel over slices.
 DenseMatrix mttkrp_csl_cpu(const CslTensor& csl,

@@ -11,8 +11,6 @@ namespace bcsf {
 
 SplattAllmode::SplattAllmode(const SparseTensor& tensor, SplattOptions opts)
     : opts_(opts) {
-  BCSF_CHECK(!opts.tiling || opts.leaf_tiles >= 1,
-             "SplattAllmode: leaf_tiles must be >= 1");
   Timer timer;
   csfs_.reserve(tensor.order());
   for (index_t mode = 0; mode < tensor.order(); ++mode) {
@@ -24,15 +22,6 @@ SplattAllmode::SplattAllmode(const SparseTensor& tensor, SplattOptions opts)
   if (opts_.tiling) {
     preprocessing_seconds_ *= 1.0 + 1.0 / static_cast<double>(tensor.order());
   }
-}
-
-DenseMatrix SplattAllmode::mttkrp(index_t mode,
-                                  const std::vector<DenseMatrix>& factors) const {
-  const CsfTensor& csf = csfs_.at(mode);
-  if (opts_.tiling) {
-    return mttkrp_csf_cpu_tiled(csf, factors, opts_.leaf_tiles);
-  }
-  return mttkrp_csf_cpu(csf, factors);
 }
 
 DenseMatrix mttkrp_csf_cpu_tiled(const CsfTensor& csf,

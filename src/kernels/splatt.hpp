@@ -2,10 +2,13 @@
 // the ALLMODE setting ("store N CSF formats to achieve maximum
 // performance") with the `tiling` locality flag either on or off.
 //
-// The MTTKRP itself is real, runnable OpenMP code (mttkrp_csf_cpu); the
-// tiled variant performs cache blocking over the leaf mode by processing
-// the CSF tree once per leaf-index tile.  Projected 28-core Broadwell
-// times for the cross-platform figures come from cpu_model.hpp.
+// SplattAllmode builds the N CSF trees and times that pre-processing
+// (Fig. 9).  The MTTKRPs are registry plans: `cpu-csf` runs SPLATT's
+// CSF loop on the arithmetic engine (kernels/engine.hpp) and
+// `cpu-csf-tiled` the tiled kernel below, which performs cache blocking
+// over the leaf mode by processing the CSF tree once per leaf-index
+// tile.  Projected 28-core Broadwell times for the cross-platform
+// figures come from cpu_model.hpp.
 #pragma once
 
 #include <vector>
@@ -19,18 +22,11 @@ namespace bcsf {
 
 struct SplattOptions {
   bool tiling = false;
-  /// Number of leaf-mode tiles when tiling is enabled.
-  index_t leaf_tiles = 8;
 };
 
 class SplattAllmode {
  public:
   SplattAllmode(const SparseTensor& tensor, SplattOptions opts = {});
-
-  /// Runs mode-`mode` MTTKRP using the CSF representation rooted at that
-  /// mode (the ALLMODE strategy: no recursion through foreign roots).
-  DenseMatrix mttkrp(index_t mode,
-                     const std::vector<DenseMatrix>& factors) const;
 
   const CsfTensor& csf(index_t mode) const { return csfs_.at(mode); }
   index_t order() const { return static_cast<index_t>(csfs_.size()); }

@@ -2,11 +2,11 @@
 // (DESIGN.md §7): multi-TTV and the CPD fit inner product, plus their
 // delta-sweep variants for the snapshot/delta serving path (§6).
 //
-// Any plan can already serve these ops through its MTTKRP traversal (the
-// generic TensorOpPlan::execute path); the kernels here are the fused
-// COO-family implementations -- sequential double-accumulation references
-// that anchor the equivalence tests, and OpenMP versions for the CPU COO
-// plans, which skip the rank-R machinery entirely.
+// Every plan serves these ops through its MTTKRP traversal (the generic
+// TensorOpPlan::execute path: TTV at rank 1, FIT as a double contraction
+// of the MTTKRP output).  The kernels here are the sequential
+// double-accumulation references, which the `reference` plan fuses and
+// the equivalence tests are anchored to, and the delta sweeps.
 //
 // Conventions (matching core/tensor_op.hpp):
 //  * multi-TTV contracts every mode EXCEPT `mode` with a vector:
@@ -39,17 +39,6 @@ void check_vectors(const std::vector<index_t>& dims,
 DenseMatrix ttv_reference(const SparseTensor& tensor, index_t mode,
                           const std::vector<DenseMatrix>& vectors);
 
-/// OpenMP COO multi-TTV: slice-grouped like mttkrp_coo_cpu, but with the
-/// rank loop collapsed away -- one multiply-accumulate per nonzero.
-DenseMatrix ttv_coo_cpu(const SparseTensor& tensor, index_t mode,
-                        const std::vector<DenseMatrix>& vectors);
-
-struct CooSliceOrder;  // kernels/mttkrp.hpp
-
-/// Same, sweeping a prebuilt slice order of `tensor`.
-DenseMatrix ttv_coo_cpu(const SparseTensor& tensor, const CooSliceOrder& order,
-                        const std::vector<DenseMatrix>& vectors);
-
 /// Adds the multi-TTV terms of frozen COO delta chunks into `acc`, which
 /// covers rows [row_begin, row_begin + acc.size()) of the mode-`mode`
 /// result, with no float rounding -- exactly the windowed
@@ -62,11 +51,6 @@ void ttv_delta_accumulate(std::span<const TensorPtr> deltas, index_t mode,
 double fit_inner_reference(const SparseTensor& tensor,
                            const std::vector<DenseMatrix>& factors,
                            const std::vector<value_t>* lambda = nullptr);
-
-/// OpenMP COO fit inner product (parallel reduction over nonzeros).
-double fit_inner_coo_cpu(const SparseTensor& tensor,
-                         const std::vector<DenseMatrix>& factors,
-                         const std::vector<value_t>* lambda = nullptr);
 
 /// <deltas, Xhat> summed over every chunk in double -- the scalar the
 /// serving layer adds on top of a base plan's fit contribution.

@@ -246,11 +246,25 @@ TEST(CpdAlsParity, GpuKeysMatchTheUncachedLoopBitwise) {
   }
 }
 
+TEST(CpdAlsParity, EngineCpuKeysMatchTheUncachedLoopBitwise) {
+  // cpu-csf and cpu-coo run the engine and serve FIT as the contraction
+  // of their MTTKRP output, so both fit histories agree bit for bit too.
+  for (const SparseTensor& x : parity_tensors()) {
+    for (const std::string key : {"cpu-csf", "cpu-coo"}) {
+      const std::string what = key + " order " + std::to_string(x.order());
+      const CpdOptions opts = parity_options(key);
+      const CpdResult got = cpd_als(x, opts);
+      const ReplicaRun want = replica_cpd_als(x, opts);
+      expect_same_factors(got, want, what);
+      EXPECT_EQ(got.fit_history, want.fit_history) << what;
+    }
+  }
+}
+
 TEST(CpdAlsParity, FusedAndShardedFitsMatchWithinRounding) {
   for (const SparseTensor& x : parity_tensors()) {
     for (const CpdOptions& opts :
-         {parity_options("reference"), parity_options("cpu-coo"),
-          parity_options("auto", 2)}) {
+         {parity_options("reference"), parity_options("auto", 2)}) {
       const std::string what = opts.format + " shards " +
                                std::to_string(opts.shards) + " order " +
                                std::to_string(x.order());
@@ -258,12 +272,11 @@ TEST(CpdAlsParity, FusedAndShardedFitsMatchWithinRounding) {
       const ReplicaRun want = replica_cpd_als(x, opts);
       expect_same_factors(got, want, what);
       // cpd_als contracts the plan's MTTKRP output, exactly.  These plans'
-      // FIT op instead fuses the traversal (reference, cpu-coo) or sums
-      // per-shard inner products, so it differs by the rounding of that
-      // float output: a cast per entry for the double-accumulating
-      // reference and float accumulation for cpu-coo (up to ~1e-7
-      // relative on these tensors), only the order of the shard sums for
-      // the sharded plan (~1e-14).
+      // FIT op instead fuses the traversal (reference) or sums per-shard
+      // inner products, so it differs by the rounding of that float
+      // output: a cast per entry for the double-accumulating reference
+      // (up to ~1e-7 relative on these tensors), only the order of the
+      // shard sums for the sharded plan (~1e-14).
       EXPECT_EQ(got.fit_history, want.contracted_fit_history) << what;
       const double tol = opts.shards == 2 ? 1e-9 : 1e-6;
       ASSERT_EQ(got.fit_history.size(), want.fit_history.size()) << what;

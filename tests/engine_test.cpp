@@ -1,7 +1,8 @@
-// The arithmetic engine behind every simulated GPU key (kernels/engine.hpp).
+// The arithmetic engine behind every simulated GPU key and the cpu-csf
+// and cpu-coo keys (kernels/engine.hpp).
 //
 // Four contracts, on 2- to 5-mode tensors:
-//  * the scalar loops: every key's output is bit for bit what its
+//  * the scalar loops: every engine key's output is bit for bit what its
 //    format's work-unit walk, run one output entry (lane r) at a time,
 //    produces -- at ranks 1-5, 7, 8, 12, 15, 16, 17 and 32, every mode,
 //    both B-CSF output combines -- and column r of a rank-R output is
@@ -9,12 +10,13 @@
 //    the engine's walks (register tiles up to rank 16, scratch rows
 //    above) reorders a float statement of any lane;
 //  * determinism: each output row is accumulated by one thread in
-//    schedule order, so outputs are bitwise identical at 1, 2, 3 and 4
-//    OpenMP threads and inside a pool task;
-//  * ownership: the range cut covers every B-CSF block, CSL slice and
-//    HB-CSF singleton exactly once and never splits a slice between
-//    ranges (a bitwise check alone can pass by luck, when both halves of
-//    a slice land on one thread);
+//    schedule order, so every registry key's MTTKRP, TTV and FIT answers
+//    are bitwise identical at 1, 2, 3 and 4 OpenMP threads and inside a
+//    pool task;
+//  * ownership: the range cut covers every B-CSF block, CSL slice,
+//    HB-CSF singleton and COO slice-order slice exactly once and never
+//    splits a slice between ranges (a bitwise check alone can pass by
+//    luck, when both halves of a slice land on one thread);
 //  * accuracy on real-valued data: signed off-grid factors, so summation
 //    order matters, and every entry stays within the fp32 forward-error
 //    bound of the double-accumulating mttkrp_reference (see
@@ -30,6 +32,7 @@
 #include <cstring>
 #include <limits>
 #include <random>
+#include <span>
 #include <string>
 #include <tuple>
 #include <utility>
@@ -45,6 +48,12 @@ using test::forward_error_bound;
 
 const char* const kGpuKeys[] = {"gpu-csf", "bcsf", "csl", "hbcsf", "coo",
                                 "fcoo"};
+/// The real CPU keys that run the engine: cpu-csf is the B-CSF walk over
+/// an unsplit B-CSF, cpu-coo the per-nonzero loop over its slice order.
+const char* const kCpuEngineKeys[] = {"cpu-csf", "cpu-coo"};
+/// Every key whose output the engine computes.
+const char* const kEngineKeys[] = {"gpu-csf", "bcsf", "csl",     "hbcsf",
+                                   "coo",     "fcoo", "cpu-csf", "cpu-coo"};
 
 struct Case {
   std::string name;
@@ -167,22 +176,33 @@ std::vector<Case> cases() {
   if (a.rows() != b.rows() || a.cols() != b.cols()) {
     return ::testing::AssertionFailure() << "shape mismatch";
   }
-  if (std::memcmp(a.data().data(), b.data().data(),
-                  a.size() * sizeof(value_t)) != 0) {
+  // An empty matrix (a FIT answer's output) has a null data(), which
+  // memcmp may not take even for zero bytes.
+  if (a.size() != 0 && std::memcmp(a.data().data(), b.data().data(),
+                                   a.size() * sizeof(value_t)) != 0) {
     return ::testing::AssertionFailure()
            << "outputs differ (max |diff| " << a.max_abs_diff(b) << ")";
   }
   return ::testing::AssertionSuccess();
 }
 
+/// An op's answer: the output matrix and the FIT scalar, both bitwise.
+::testing::AssertionResult same_answer(const OpResult& a, const OpResult& b) {
+  if (std::memcmp(&a.scalar, &b.scalar, sizeof(double)) != 0) {
+    return ::testing::AssertionFailure()
+           << "scalars differ: " << a.scalar << " vs " << b.scalar;
+  }
+  return bitwise_equal(a.output, b.output);
+}
+
 /// Runs `fn` with OpenMP's default team size set to `threads` on the
 /// calling thread.
 template <typename Fn>
-DenseMatrix with_threads(int threads, Fn fn) {
+auto with_threads(int threads, Fn fn) {
 #ifdef _OPENMP
   const int saved = omp_get_max_threads();
   omp_set_num_threads(threads);
-  DenseMatrix out = fn();
+  auto out = fn();
   omp_set_num_threads(saved);
   return out;
 #else
@@ -360,8 +380,8 @@ void fcoo_oracle(const FcooTensor& fcoo, const std::vector<DenseMatrix>& f,
   }
 }
 
-/// Every GPU key's format for one mode, built as the registry builds it
-/// from `opts`.
+/// Every engine key's format for one mode, built as the registry builds
+/// it from `opts`.
 struct ModeFormats {
   ModeFormats(const SparseTensor& t, index_t m, const PlanOptions& opts)
       : x(t), mode(m), device(opts.device),
@@ -388,6 +408,11 @@ struct ModeFormats {
       coo_oracle(x, mode, f, out);
     } else if (key == "fcoo") {
       fcoo_oracle(fcoo, f, fcoo_chunk_nnz(fcoo, device), out);
+    } else if (key == "cpu-csf") {
+      bcsf_oracle(unsplit, f, OutputCombine::kPerFiber, out);
+    } else if (key == "cpu-coo") {
+      // Whole-slice segments: each slice sums its products in sort order.
+      csl_oracle(csl, f, std::max<offset_t>(1, x.nnz()), out);
     } else {
       ADD_FAILURE() << "no oracle for " << key;
     }
@@ -411,27 +436,37 @@ TEST_P(EngineTest, BitwiseAtEveryTeamSizeAndInsidePoolTasks) {
   const Case c = cases()[case_idx];
   const SparseTensor x = c.tensor();
   const auto factors = make_random_factors(x.dims(), rank, 901, -1.0F, 1.0F);
+  const auto vectors = make_random_factors(x.dims(), 1, 906, -1.0F, 1.0F);
+  std::vector<value_t> lambda(rank);
+  for (rank_t r = 0; r < rank; ++r) lambda[r] = 0.75F + 0.125F * (r % 5);
   PlanOptions opts;
   opts.device = DeviceModel::tiny(4, 16);
   ThreadPool pool(2);
 
   for (index_t mode = 0; mode < x.order(); ++mode) {
-    for (const char* key : kGpuKeys) {
-      SCOPED_TRACE(c.name + " " + key + " mode " + std::to_string(mode) +
-                   " rank " + std::to_string(rank));
+    for (const std::string& key : FormatRegistry::instance().names()) {
       const PlanPtr plan = FormatRegistry::instance().create(key, x, mode, opts);
-      const DenseMatrix one =
-          with_threads(1, [&] { return plan->run(factors).output; });
-      for (int threads : {2, 3, 4}) {
-        EXPECT_TRUE(bitwise_equal(
-            one, with_threads(threads, [&] { return plan->run(factors).output; })))
-            << threads << " threads";
+      for (const OpKind op : kAllOps) {
+        SCOPED_TRACE(c.name + " " + key + " " + op_name(op) + " mode " +
+                     std::to_string(mode) + " rank " + std::to_string(rank));
+        OpRequest req;
+        req.kind = op;
+        req.mode = mode;
+        req.factors = op == OpKind::kTtv ? &vectors : &factors;
+        req.lambda = op == OpKind::kFit ? &lambda : nullptr;
+        const OpResult one =
+            with_threads(1, [&] { return plan->execute(req); });
+        for (int threads : {2, 3, 4}) {
+          EXPECT_TRUE(same_answer(
+              one, with_threads(threads, [&] { return plan->execute(req); })))
+              << threads << " threads";
+        }
+        const OpResult pooled = pool.async([&] {
+                                      EXPECT_EQ(kernel_team_size(), 1);
+                                      return plan->execute(req);
+                                    }).get();
+        EXPECT_TRUE(same_answer(one, pooled)) << "inside a pool task";
       }
-      const DenseMatrix pooled = pool.async([&] {
-                                       EXPECT_EQ(kernel_team_size(), 1);
-                                       return plan->run(factors).output;
-                                     }).get();
-      EXPECT_TRUE(bitwise_equal(one, pooled)) << "inside a pool task";
     }
   }
 }
@@ -453,7 +488,7 @@ TEST_P(EngineTest, RealValuedOutputsStayWithinTheForwardErrorBound) {
     std::vector<offset_t> row_nnz(x.dim(mode), 0);
     for (offset_t z = 0; z < x.nnz(); ++z) ++row_nnz[x.coord(mode, z)];
 
-    for (const char* key : kGpuKeys) {
+    for (const char* key : kEngineKeys) {
       SCOPED_TRACE(c.name + " " + key + " mode " + std::to_string(mode) +
                    " rank " + std::to_string(rank));
       const DenseMatrix got =
@@ -494,8 +529,9 @@ const rank_t kOracleRanks[] = {1, 2, 3, 4, 5, 7, 8, 12, 15, 16, 17, 32};
 class EngineOracleTest
     : public ::testing::TestWithParam<std::tuple<int, rank_t>> {};
 
-TEST_P(EngineOracleTest, EveryGpuKeyMatchesTheScalarLoopsBitwise) {
-  const auto [case_idx, rank] = GetParam();
+/// Each of `keys`' plans against its scalar oracle, on every mode.
+void expect_oracle_outputs(int case_idx, rank_t rank,
+                           std::span<const char* const> keys) {
   const Case c = cases()[case_idx];
   const SparseTensor x = c.tensor();
   const auto factors = make_random_factors(x.dims(), rank, 903, -1.0F, 1.0F);
@@ -504,7 +540,7 @@ TEST_P(EngineOracleTest, EveryGpuKeyMatchesTheScalarLoopsBitwise) {
 
   for (index_t mode = 0; mode < x.order(); ++mode) {
     const ModeFormats formats(x, mode, opts);
-    for (const char* key : kGpuKeys) {
+    for (const char* key : keys) {
       SCOPED_TRACE(c.name + " " + key + " mode " + std::to_string(mode) +
                    " rank " + std::to_string(rank));
       const PlanPtr plan = FormatRegistry::instance().create(key, x, mode, opts);
@@ -512,6 +548,16 @@ TEST_P(EngineOracleTest, EveryGpuKeyMatchesTheScalarLoopsBitwise) {
                                 plan->run(factors).output));
     }
   }
+}
+
+TEST_P(EngineOracleTest, EveryGpuKeyMatchesTheScalarLoopsBitwise) {
+  const auto [case_idx, rank] = GetParam();
+  expect_oracle_outputs(case_idx, rank, kGpuKeys);
+}
+
+TEST_P(EngineOracleTest, CpuEngineKeysMatchTheScalarLoopsBitwise) {
+  const auto [case_idx, rank] = GetParam();
+  expect_oracle_outputs(case_idx, rank, kCpuEngineKeys);
 }
 
 TEST_P(EngineOracleTest, BcsfEngineMatchesTheScalarLoopsUnderBothCombines) {
@@ -595,7 +641,7 @@ TEST_P(EngineLaneTest, ColumnRIsTheRankOneRunOnColumnR) {
 }
 
 INSTANTIATE_TEST_SUITE_P(
-    Keys, EngineLaneTest, ::testing::ValuesIn(kGpuKeys),
+    Keys, EngineLaneTest, ::testing::ValuesIn(kEngineKeys),
     [](const ::testing::TestParamInfo<const char*>& info) {
       std::string name = info.param;
       std::replace(name.begin(), name.end(), '-', '_');
@@ -604,7 +650,7 @@ INSTANTIATE_TEST_SUITE_P(
 
 /// Nonzeros of one range.
 offset_t range_nnz(const EngineRange& r, const BcsfTensor& bcsf,
-                   const CslTensor& csl) {
+                   const CslTensor& csl, const CooSliceOrder& coo) {
   offset_t nnz = 0;
   switch (r.units) {
     case EngineRange::Units::kBcsfBlocks:
@@ -616,6 +662,9 @@ offset_t range_nnz(const EngineRange& r, const BcsfTensor& bcsf,
     case EngineRange::Units::kSingletons:
       nnz = r.end - r.begin;
       break;
+    case EngineRange::Units::kCooSlices:
+      nnz = coo.slice_start[r.end] - coo.slice_start[r.begin];
+      break;
   }
   return nnz;
 }
@@ -626,15 +675,20 @@ offset_t range_nnz(const EngineRange& r, const BcsfTensor& bcsf,
 /// nonzeros (so a cut never degenerates to one range per unit).
 void expect_owner_ranges(const std::vector<EngineRange>& ranges,
                          const BcsfTensor* bcsf, const CslTensor* csl,
-                         offset_t singletons) {
+                         offset_t singletons,
+                         const CooSliceOrder* coo = nullptr) {
   const BcsfTensor empty_bcsf;
   const CslTensor empty_csl;
+  const CooSliceOrder empty_coo;
   const BcsfTensor& b = bcsf != nullptr ? *bcsf : empty_bcsf;
   const CslTensor& s = csl != nullptr ? *csl : empty_csl;
+  const CooSliceOrder& o = coo != nullptr ? *coo : empty_coo;
   const std::pair<EngineRange::Units, offset_t> kinds[] = {
       {EngineRange::Units::kBcsfBlocks, b.blocks().size()},
       {EngineRange::Units::kCslSlices, s.num_slices()},
-      {EngineRange::Units::kSingletons, singletons}};
+      {EngineRange::Units::kSingletons, singletons},
+      {EngineRange::Units::kCooSlices,
+       o.slice_start.empty() ? 0 : o.slice_start.size() - 1}};
   for (const auto& [units, count] : kinds) {
     SCOPED_TRACE(static_cast<int>(units));
     std::vector<EngineRange> mine;
@@ -655,7 +709,7 @@ void expect_owner_ranges(const std::vector<EngineRange>& ranges,
         EXPECT_NE(b.blocks()[r.begin].slice, b.blocks()[r.begin - 1].slice)
             << "range " << i << " splits a slice";
       }
-      EXPECT_EQ(r.nnz, range_nnz(r, b, s)) << "range " << i;
+      EXPECT_EQ(r.nnz, range_nnz(r, b, s, o)) << "range " << i;
       if (i + 1 < mine.size()) {
         EXPECT_GE(r.nnz, 2048u) << "range " << i;
       }
@@ -671,6 +725,7 @@ TEST(EngineRanges, CoverEveryUnitOnceAndNeverSplitASlice) {
       const BcsfTensor bcsf = build_bcsf(x, mode);
       const CslTensor csl = build_csl(x, mode);
       const HbcsfTensor hbcsf = build_hbcsf(x, mode);
+      const CooSliceOrder order = build_coo_slice_order(x, mode);
       for (int team : {1, 2, 3, 4, 64}) {
         SCOPED_TRACE(c.name + " mode " + std::to_string(mode) + " team " +
                      std::to_string(team));
@@ -678,6 +733,8 @@ TEST(EngineRanges, CoverEveryUnitOnceAndNeverSplitASlice) {
         expect_owner_ranges(engine_ranges(csl, team), nullptr, &csl, 0);
         expect_owner_ranges(engine_ranges(hbcsf, team), &hbcsf.bcsf(),
                             &hbcsf.csl(), hbcsf.coo_nnz());
+        expect_owner_ranges(engine_ranges(order, team), nullptr, nullptr, 0,
+                            &order);
       }
     }
   }

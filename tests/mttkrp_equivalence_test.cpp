@@ -1,7 +1,7 @@
-// The library's central property: *every* MTTKRP kernel -- five simulated
-// GPU kernels and four real CPU kernels, across all formats -- computes
-// the same matrix as the sequential COO reference, for every mode, for
-// tensors of different orders and sparsity regimes.  Splitting,
+// The library's central property: *every* MTTKRP kernel -- the six
+// simulated GPU kernels and every real CPU plan, across all formats --
+// computes the same matrix as the sequential COO reference, for every
+// mode, for tensors of different orders and sparsity regimes.  Splitting,
 // hybridization, flags, and blocking are storage/scheduling choices; they
 // must never change semantics.
 #include <gtest/gtest.h>
@@ -120,13 +120,14 @@ TEST_P(MttkrpEquivalence, AllKernelsMatchReference) {
     EXPECT_LT(ref.max_abs_diff(mttkrp_csl_gpu(csl, factors, device).output),
               tol);
 
-    // --- real CPU kernels ---
-    EXPECT_LT(ref.max_abs_diff(mttkrp_coo_cpu(x, mode, factors)), tol);
-    EXPECT_LT(ref.max_abs_diff(mttkrp_csf_cpu(csf, factors)), tol);
-    EXPECT_LT(ref.max_abs_diff(mttkrp_csl_cpu(csl, factors)), tol);
-    EXPECT_LT(ref.max_abs_diff(mttkrp_csf_cpu_tiled(csf, factors, 4)), tol);
-    const HicooTensor hicoo = build_hicoo(x);
-    EXPECT_LT(ref.max_abs_diff(mttkrp_hicoo_cpu(hicoo, mode, factors)), tol);
+    // --- real CPU kernels, through their plans ---
+    const FormatRegistry& registry = FormatRegistry::instance();
+    for (const std::string& key : registry.names(PlanKind::kCpu)) {
+      EXPECT_LT(ref.max_abs_diff(
+                    registry.create(key, x, mode)->run(factors).output),
+                tol)
+          << key;
+    }
   }
 }
 

@@ -1,8 +1,10 @@
 // Tests for the SPLATT baseline wrapper (ALLMODE, tiled traversal) and
-// the cross-format storage accounting of SS III / Fig. 16.
+// the cross-format storage accounting of SS III / Fig. 16.  The untiled
+// SPLATT MTTKRP is the cpu-csf plan.
 #include <gtest/gtest.h>
 
 #include "core/factors.hpp"
+#include "core/format_registry.hpp"
 #include "formats/storage.hpp"
 #include "kernels/mttkrp.hpp"
 #include "kernels/splatt.hpp"
@@ -22,6 +24,15 @@ SparseTensor test_tensor() {
   return generate_power_law(cfg);
 }
 
+/// SPLATT's untiled mode-`mode` MTTKRP: the cpu-csf plan.
+DenseMatrix untiled(const SparseTensor& x, index_t mode,
+                    const std::vector<DenseMatrix>& factors) {
+  return FormatRegistry::instance()
+      .create("cpu-csf", x, mode)
+      ->run(factors)
+      .output;
+}
+
 TEST(Splatt, AllmodeKeepsOneCsfPerMode) {
   const SparseTensor x = test_tensor();
   const SplattAllmode splatt(x);
@@ -36,11 +47,10 @@ TEST(Splatt, AllmodeKeepsOneCsfPerMode) {
 TEST(Splatt, TiledMatchesUntiled) {
   const SparseTensor x = test_tensor();
   const auto factors = make_random_factors(x.dims(), 8, 92);
-  const SplattAllmode nt(x, SplattOptions{.tiling = false});
-  const SplattAllmode t(x, SplattOptions{.tiling = true, .leaf_tiles = 8});
+  const SplattAllmode t(x, SplattOptions{.tiling = true});
   for (index_t mode = 0; mode < 3; ++mode) {
-    const DenseMatrix a = nt.mttkrp(mode, factors);
-    const DenseMatrix b = t.mttkrp(mode, factors);
+    const DenseMatrix a = untiled(x, mode, factors);
+    const DenseMatrix b = mttkrp_csf_cpu_tiled(t.csf(mode), factors, 8);
     EXPECT_LT(a.max_abs_diff(b), 1e-2) << "mode " << mode;
   }
 }
@@ -49,7 +59,7 @@ TEST(Splatt, OneTileIsUntiled) {
   const SparseTensor x = test_tensor();
   const auto factors = make_random_factors(x.dims(), 8, 93);
   const CsfTensor csf = build_csf(x, 0);
-  const DenseMatrix a = mttkrp_csf_cpu(csf, factors);
+  const DenseMatrix a = untiled(x, 0, factors);
   const DenseMatrix b = mttkrp_csf_cpu_tiled(csf, factors, 1);
   EXPECT_LT(a.max_abs_diff(b), 1e-3);
 }
@@ -63,7 +73,7 @@ TEST(Splatt, MoreTilesThanLeafDimStillCorrect) {
   }
   const auto factors = make_random_factors(x.dims(), 4, 94);
   const CsfTensor csf = build_csf(x, 0);
-  const DenseMatrix a = mttkrp_csf_cpu(csf, factors);
+  const DenseMatrix a = untiled(x, 0, factors);
   const DenseMatrix b = mttkrp_csf_cpu_tiled(csf, factors, 16);
   EXPECT_LT(a.max_abs_diff(b), 1e-4);
 }
@@ -76,7 +86,7 @@ TEST(Splatt, TiledOrder4Correct) {
   const SparseTensor x = generate_power_law(cfg);
   const auto factors = make_random_factors(x.dims(), 4, 96);
   const CsfTensor csf = build_csf(x, 1);
-  const DenseMatrix a = mttkrp_csf_cpu(csf, factors);
+  const DenseMatrix a = untiled(x, 1, factors);
   const DenseMatrix b = mttkrp_csf_cpu_tiled(csf, factors, 4);
   EXPECT_LT(a.max_abs_diff(b), 1e-2);
 }
