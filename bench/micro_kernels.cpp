@@ -2,10 +2,10 @@
 // format construction, the simulator's cost walk, warm plan executes
 // through the FormatRegistry -- one row per runnable registry key, the
 // simulated formats and the real CPU kernels, plus a rank sweep of the
-// engine on a served tenant's shape, so every engine walk (B-CSF
+// engine on two served tenants' shapes, so every engine walk (B-CSF
 // blocks, CSL segments, per-nonzero products, F-COO chunks) has a
-// timing row -- the delta sweep of a served
-// answer, the CPD-ALS dense kernels (Gram, SPD right-solve), and sketch
+// timing row -- the delta sweep of a served answer, the shard combine,
+// the CPD-ALS dense kernels (Gram, SPD right-solve), and sketch
 // ingest.  These measure actual wall time on this machine (unlike the
 // simulated-GPU figures) and are the numbers a downstream user cares
 // about for preprocessing budgets and serving latency.  Execute benches
@@ -16,6 +16,7 @@
 #include <chrono>
 
 #include "bcsf/bcsf.hpp"
+#include "core/shard_combine.hpp"
 
 namespace {
 
@@ -213,17 +214,27 @@ BENCHMARK_CAPTURE(BM_SketchBuild, fleet_tenant, &fleet_tenant_tensor)
 BENCHMARK_CAPTURE(BM_SketchBuild, serve_base, &serve_base_tensor)
     ->Unit(benchmark::kMillisecond);
 
-/// The fleet tenant with perfbench fleet-socket's exact-grid values (1,
-/// 1.5, ..., 3): with grid factors every sum is exact in float, as in a
-/// served tenant.
+/// `t` with perfbench fleet-socket's exact-grid values (1, 1.5, ..., 3):
+/// with grid factors every sum is exact in float, as in a served tenant.
+SparseTensor with_grid_values(SparseTensor t) {
+  for (offset_t z = 0; z < t.nnz(); ++z) {
+    t.value(z) = 1.0F + 0.5F * static_cast<value_t>(z % 5);
+  }
+  return t;
+}
+
+/// The largest fleet tenant on the grid: ~6.9 nonzeros per mode-0 fiber
+/// segment.
 const SparseTensor& fleet_grid_tensor() {
-  static const SparseTensor x = [] {
-    SparseTensor t = fleet_tenant_tensor();
-    for (offset_t z = 0; z < t.nnz(); ++z) {
-      t.value(z) = 1.0F + 0.5F * static_cast<value_t>(z % 5);
-    }
-    return t;
-  }();
+  static const SparseTensor x = with_grid_values(fleet_tenant_tensor());
+  return x;
+}
+
+/// A short-fiber fleet tenant on the grid, tenant 2's shape: 28,106
+/// uniform cells, ~2.5 nonzeros per mode-0 fiber segment.
+const SparseTensor& short_fiber_grid_tensor() {
+  static const SparseTensor x =
+      with_grid_values(generate_uniform({96, 128, 72}, 28'106, 2));
   return x;
 }
 
@@ -231,8 +242,9 @@ const SparseTensor& fleet_grid_tensor() {
 /// state.range(0), with fleet-socket's grid factors (multiples of 0.25
 /// in [-1, 1]): ranks up to 16 run the engine's walks on register
 /// tiles, 17 and 32 on runtime-rank scratch rows (DESIGN.md §1).
-void BM_TenantExecute(benchmark::State& state, const char* format) {
-  const SparseTensor& x = fleet_grid_tensor();
+void BM_TenantExecute(benchmark::State& state, const char* format,
+                      const SparseTensor& (*tenant)()) {
+  const SparseTensor& x = tenant();
   const auto rank = static_cast<rank_t>(state.range(0));
   std::vector<DenseMatrix> factors;
   Rng rng(77);
@@ -257,10 +269,20 @@ void tenant_ranks(benchmark::internal::Benchmark* b) {
   for (const int rank : {1, 8, 16, 17, 32}) b->Arg(rank);
   b->Unit(benchmark::kMicrosecond);
 }
-BENCHMARK_CAPTURE(BM_TenantExecute, bcsf, "bcsf")->Apply(tenant_ranks);
-BENCHMARK_CAPTURE(BM_TenantExecute, hbcsf, "hbcsf")->Apply(tenant_ranks);
-BENCHMARK_CAPTURE(BM_TenantExecute, coo, "coo")->Apply(tenant_ranks);
-BENCHMARK_CAPTURE(BM_TenantExecute, csl, "csl")->Apply(tenant_ranks);
+BENCHMARK_CAPTURE(BM_TenantExecute, bcsf, "bcsf", &fleet_grid_tensor)
+    ->Apply(tenant_ranks);
+BENCHMARK_CAPTURE(BM_TenantExecute, hbcsf, "hbcsf", &fleet_grid_tensor)
+    ->Apply(tenant_ranks);
+BENCHMARK_CAPTURE(BM_TenantExecute, coo, "coo", &fleet_grid_tensor)
+    ->Apply(tenant_ranks);
+BENCHMARK_CAPTURE(BM_TenantExecute, csl, "csl", &fleet_grid_tensor)
+    ->Apply(tenant_ranks);
+BENCHMARK_CAPTURE(BM_TenantExecute, short_fiber_bcsf, "bcsf",
+                  &short_fiber_grid_tensor)
+    ->Apply(tenant_ranks);
+BENCHMARK_CAPTURE(BM_TenantExecute, short_fiber_hbcsf, "hbcsf",
+                  &short_fiber_grid_tensor)
+    ->Apply(tenant_ranks);
 
 /// The delta sweep a served answer adds to its base plan's result
 /// (DESIGN.md §6) at a serve-updates shard's shape: 25 update batches of
@@ -302,6 +324,50 @@ void BM_DeltaSweep(benchmark::State& state) {
       (static_cast<double>(state.iterations()) * static_cast<double>(nnz));
 }
 BENCHMARK(BM_DeltaSweep)->Unit(benchmark::kMillisecond);
+
+/// ShardCombine::add for 4 shards plus finish() at a serve-updates
+/// request's shape: rank-32 MTTKRP over the 400x600x800 base, no deltas.
+/// The window path (`windowed`) is mode 0 on a partition of mode 0, each
+/// shard owning 100 rows; the merge path is mode 1 (600 shared rows),
+/// which promotes every shard output to double and sums them in shard
+/// order.  Building the shard results is not timed.  GF/s counts one
+/// operation per shard output entry folded in: rows x R x 4.
+void BM_ShardCombine(benchmark::State& state, bool windowed) {
+  constexpr rank_t kCombineRank = 32;
+  constexpr std::size_t kShards = 4;
+  const std::vector<index_t>& dims = serve_base_tensor().dims();
+  const index_t mode = windowed ? 0 : 1;
+  const std::vector<index_t> owned = {0, 100, 200, 300, 400};
+  const std::vector<DenseMatrix> factors =
+      make_random_factors(dims, kCombineRank, 6);
+  OpRequest request;
+  request.mode = mode;
+  request.factors = &factors;
+  std::vector<DenseMatrix> outputs;
+  for (std::size_t s = 0; s < kShards; ++s) {
+    DenseMatrix out(dims[mode], kCombineRank);
+    out.randomize(40 + s, -1.0F, 1.0F);
+    outputs.push_back(std::move(out));
+  }
+  ScratchArena arena;
+  for (auto _ : state) {
+    state.PauseTiming();
+    std::vector<OpResult> results(kShards);
+    for (std::size_t s = 0; s < kShards; ++s) results[s].output = outputs[s];
+    state.ResumeTiming();
+    ShardCombine combine(request, dims, 0, kShards, owned, arena);
+    for (std::size_t s = 0; s < kShards; ++s) {
+      combine.add(s, std::move(results[s]));
+    }
+    benchmark::DoNotOptimize(combine.finish());
+  }
+  set_gflop_rate(state, static_cast<double>(dims[mode]) * kCombineRank *
+                            static_cast<double>(kShards));
+}
+BENCHMARK_CAPTURE(BM_ShardCombine, window, true)
+    ->Unit(benchmark::kMicrosecond);
+BENCHMARK_CAPTURE(BM_ShardCombine, merge, false)
+    ->Unit(benchmark::kMicrosecond);
 
 /// The B-CSF cost walk alone (cache model + SM scheduler, no arithmetic):
 /// what a GPU plan pays once per rank.

@@ -8,6 +8,63 @@
 
 namespace bcsf {
 
+namespace {
+
+/// Changes of nonzero count along a window's walk must fall by more than
+/// one per this many segments for length order to pay: each change
+/// costs the walk a mispredicted loop exit, each reordered segment a
+/// kept row.
+constexpr offset_t kSegmentsPerSavedChange = 4;
+
+/// Calls fn(w, n) for each walk-order window (BcsfTensor::walk_order):
+/// the n segments from segment w.
+template <typename Fn>
+void for_each_window(const std::vector<BcsfTensor::Block>& blocks, Fn fn) {
+  for (const BcsfTensor::Block& b : blocks) {
+    for (offset_t w = b.fiber_begin; w < b.fiber_end;
+         w += BcsfTensor::kOrderWindow) {
+      fn(w, std::min(BcsfTensor::kOrderWindow, b.fiber_end - w));
+    }
+  }
+}
+
+/// Writes the walk-order entries of a window of n segments, segment k
+/// holding len(k) nonzeros, to entry[0, n): the segments stably sorted by
+/// count, or fiber order when that sort saves at most n /
+/// kSegmentsPerSavedChange changes of count (always so for a window
+/// already in length order), then the pair bits.
+template <typename Len>
+void order_window(offset_t n, Len len, std::uint16_t* entry) {
+  for (offset_t k = 0; k < n; ++k) entry[k] = static_cast<std::uint16_t>(k);
+  std::stable_sort(entry, entry + n, [&](std::uint16_t x, std::uint16_t y) {
+    return len(x) < len(y);
+  });
+  offset_t fiber_changes = 0;
+  offset_t sorted_changes = 0;
+  for (offset_t i = 1; i < n; ++i) {
+    fiber_changes += len(i) != len(i - 1);
+    sorted_changes += len(entry[i]) != len(entry[i - 1]);
+  }
+  const bool in_place =
+      (fiber_changes - sorted_changes) * kSegmentsPerSavedChange <= n;
+  if (in_place) {
+    for (offset_t k = 0; k < n; ++k) entry[k] = static_cast<std::uint16_t>(k);
+  }
+  // Greedy along the walk: entry i pairs with i + 1 unless i - 1 took it.
+  for (offset_t i = 0; i + 1 < n; ++i) {
+    if (len(entry[i]) == len(entry[i + 1])) entry[i++] |= BcsfTensor::kOrderPair;
+  }
+  if (in_place) entry[0] |= BcsfTensor::kOrderInPlace;
+}
+
+/// Segment k's nonzero count in the window from segment w, under fiber
+/// pointers `ptr`.
+auto window_lengths(const offset_vec& ptr, offset_t w) {
+  return [&ptr, w](offset_t k) { return ptr[w + k + 1] - ptr[w + k]; };
+}
+
+}  // namespace
+
 /// Friend of both CsfTensor and BcsfTensor; performs the two splitting
 /// passes on the tree it takes over.
 class BcsfBuilder {
@@ -21,6 +78,7 @@ class BcsfBuilder {
     }
     precompute_fiber_coords(out);
     build_blocks(out);
+    build_order(out);
     return out;
   }
 
@@ -167,6 +225,16 @@ class BcsfBuilder {
       }
     }
   }
+
+  // Records each window's walk order (BcsfTensor::walk_order).
+  static void build_order(BcsfTensor& out) {
+    const offset_vec& ptr =
+        out.csf_.level_pointers(out.csf_.node_levels() - 1);
+    out.order_.assign(out.csf_.num_fibers(), 0);
+    for_each_window(out.blocks_, [&](offset_t w, offset_t n) {
+      order_window(n, window_lengths(ptr, w), out.order_.data() + w);
+    });
+  }
 };
 
 BcsfTensor build_bcsf_from_csf(CsfTensor csf, const BcsfOptions& opts) {
@@ -239,6 +307,18 @@ void BcsfTensor::validate() const {
              "bcsf validate: blocks do not cover all fiber segments");
   BCSF_CHECK(total_nnz == csf_.nnz(),
              "bcsf validate: block nnz totals " << total_nnz << " != " << csf_.nnz());
+  // Each window lists its own length order (order_window).
+  BCSF_CHECK(order_.size() == csf_.num_fibers(),
+             "bcsf validate: walk order has " << order_.size()
+                 << " entries for " << csf_.num_fibers() << " segments");
+  const offset_vec& ptr = csf_.level_pointers(csf_.node_levels() - 1);
+  std::vector<std::uint16_t> want(kOrderWindow);
+  for_each_window(blocks_, [&](offset_t w, offset_t n) {
+    order_window(n, window_lengths(ptr, w), want.data());
+    BCSF_CHECK(std::equal(want.begin(), want.begin() + n, order_.begin() + w),
+               "bcsf validate: the window at segment "
+                   << w << " is not in its walk order");
+  });
 }
 
 std::string BcsfTensor::summary() const {

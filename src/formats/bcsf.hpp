@@ -18,9 +18,17 @@
 //
 // The block list is part of the format: it *is* the GPU work schedule
 // (one thread block per entry), and the simulator consumes it directly.
+//
+// Next to it the builder records each block's walk order: its fiber
+// segments sorted by nonzero count (where that pays), as the paper's
+// warps run a block's segments side by side.  The arithmetic engine
+// (kernels/engine.hpp) walks them in that order so equal-length segments
+// share predictable loops; like the block list it is schedule metadata,
+// 2 bytes per segment outside index_storage_bytes() (DESIGN.md §1).
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -66,6 +74,32 @@ class BcsfTensor {
   const BcsfOptions& options() const { return opts_; }
   const std::vector<Block>& blocks() const { return blocks_; }
 
+  // Walk order.  A block's fiber segments are cut into windows of at
+  // most kOrderWindow consecutive segments (window k of a block starts
+  // at fiber_begin + k * kOrderWindow), and each window lists the order
+  // its segments run in: by nonzero count, ties in segment order.  A
+  // window where that order would save at most one change of count per
+  // four segments (one already in length order, say) runs in fiber
+  // order instead, marked kOrderInPlace on its first entry, and the walk
+  // adds each segment's row as it goes rather than keeping it.  Entry p
+  // of walk_order(), for p in a window starting at w, names the segment
+  // that runs (p - w)'th: w + (entry & kOrderIndex).  kOrderPair marks
+  // the first of two consecutive entries whose segments hold one count;
+  // pairs are taken greedily along the walk.
+
+  /// Segments a window holds at most: an unsplit slice can hold more
+  /// than an entry addresses, and the walk keeps a window's rows on its
+  /// stack.
+  static constexpr offset_t kOrderWindow = 512;
+  static constexpr std::uint16_t kOrderIndex = kOrderWindow - 1;
+  static constexpr std::uint16_t kOrderPair = 0x8000;
+  static constexpr std::uint16_t kOrderInPlace = 0x4000;
+  static_assert((kOrderIndex & (kOrderPair | kOrderInPlace)) == 0 &&
+                (kOrderWindow & kOrderIndex) == 0);
+
+  /// One entry per fiber segment, 2 bytes each.
+  const std::vector<std::uint16_t>& walk_order() const { return order_; }
+
   index_t order() const { return csf_.order(); }
   index_t root_mode() const { return csf_.root_mode(); }
   offset_t nnz() const { return csf_.nnz(); }
@@ -94,7 +128,8 @@ class BcsfTensor {
   offset_t split_slice_count() const { return split_slice_count_; }
 
   /// Index storage: CSF bytes plus one extra (index, pointer) word pair
-  /// per added fiber segment.
+  /// per added fiber segment.  The block list and the walk order are
+  /// schedule arrays and stay out of it.
   std::size_t index_storage_bytes() const {
     return csf_.index_storage_bytes();
   }
@@ -110,6 +145,7 @@ class BcsfTensor {
   CsfTensor csf_;
   BcsfOptions opts_;
   std::vector<Block> blocks_;
+  std::vector<std::uint16_t> order_;
   // [node level - 1][fiber segment] for the middle levels 1 .. order-3.
   std::vector<index_vec> fiber_coords_;
   offset_t split_fiber_count_ = 0;

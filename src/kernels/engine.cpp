@@ -169,6 +169,13 @@ struct ScratchRow {
 template <rank_t R>
 struct TileRows {
   using Row = Tile<R>;
+  /// The B-CSF walk runs each block in walk order (walk_window).
+  static constexpr bool kWalkOrder = true;
+  /// Whether the walk runs paired segments in one loop: up to rank 8 two
+  /// tiles and their two loaded rows take half the 16 vector registers; at
+  /// rank 16 they take all of them, and pairing ran the short-fiber
+  /// tenant's rank-16 walk ~1.15x slower at one thread.
+  static constexpr bool kPairs = Row::kVecs <= 2;
 
   static constexpr std::size_t scratch_floats() { return 0; }
   static TileRows in(value_t* /*scratch*/) { return {}; }
@@ -193,6 +200,10 @@ struct ScratchRows {
   using Row = ScratchRow;
   /// Rows a walk holds at once.
   static constexpr rank_t kRows = 2;
+  /// The B-CSF walk runs each block in fiber order: with the rows in
+  /// memory, keeping them cost as much as the walk order saved
+  /// (DESIGN.md §1).
+  static constexpr bool kWalkOrder = false;
 
   rank_t rank;
   value_t* scratch = nullptr;
@@ -256,9 +267,9 @@ void product(const Rows& rows, typename Rows::Row& p, value_t value,
 }
 
 /// What the B-CSF walk reads, gathered once per call before the region:
-/// the B-CSF's arrays, the leaf factor, and the rows a fiber segment is
-/// scaled by, in order -- its own level (Alg. 3 line 13), then each
-/// middle level up to level 1.
+/// the B-CSF's arrays and walk order, the leaf factor, and the rows a
+/// fiber segment is scaled by, in order -- its own level (Alg. 3 line
+/// 13), then each middle level up to level 1.
 struct BcsfArrays {
   BcsfArrays(const BcsfTensor& bcsf, const std::vector<DenseMatrix>& f)
       : blocks(bcsf.blocks().data()),
@@ -267,7 +278,8 @@ struct BcsfArrays {
         slices(bcsf.csf().level_indices(0).data()),
         leaf_index(bcsf.csf().leaf_indices().data()),
         values(bcsf.csf().values().data()),
-        leaf(f[bcsf.csf().mode_order().back()].data().data()) {
+        leaf(f[bcsf.csf().mode_order().back()].data().data()),
+        order(bcsf.walk_order().data()) {
     const CsfTensor& csf = bcsf.csf();
     for (index_t up = 1; up < csf.node_levels(); ++up) {
       const index_t level = csf.node_levels() - up;
@@ -283,7 +295,98 @@ struct BcsfArrays {
   const value_t* values;
   const value_t* leaf;
   std::vector<RowSource> levels;
+  /// Last: ahead of `levels` it moved the offsets the scratch-row walk
+  /// reads, and with them that walk's machine code.
+  const std::uint16_t* order;
 };
+
+/// t = fiber segment f's row (Alg. 3 over one segment): each nonzero's
+/// value times its leaf row, summed in order, then scaled by the
+/// segment's own row and each middle level's, deepest first.
+template <typename Rows>
+inline void segment_row(const BcsfArrays& a, std::span<const RowSource> levels,
+                        const Rows& rows, offset_t f,
+                        typename Rows::Row& t) {
+  t.zero();
+  for (offset_t z = a.fiber_ptr[f]; z < a.fiber_ptr[f + 1]; ++z) {
+    t.add_scaled(a.values[z], rows.at(a.leaf, a.leaf_index[z]));
+  }
+  for (const RowSource& level : levels) {
+    t.mul(rows.at(level.factor, level.coords[f]));
+  }
+}
+
+/// segment_row of f into t and of g into u, for two segments of one
+/// nonzero count: one loop, two independent add chains.
+template <typename Rows>
+inline void segment_rows(const BcsfArrays& a,
+                         std::span<const RowSource> levels, const Rows& rows,
+                         offset_t f, offset_t g, typename Rows::Row& t,
+                         typename Rows::Row& u) {
+  t.zero();
+  u.zero();
+  const offset_t zf = a.fiber_ptr[f];
+  const offset_t zg = a.fiber_ptr[g];
+  const offset_t n = a.fiber_ptr[f + 1] - zf;
+  for (offset_t j = 0; j < n; ++j) {
+    t.add_scaled(a.values[zf + j], rows.at(a.leaf, a.leaf_index[zf + j]));
+    u.add_scaled(a.values[zg + j], rows.at(a.leaf, a.leaf_index[zg + j]));
+  }
+  for (const RowSource& level : levels) {
+    t.mul(rows.at(level.factor, level.coords[f]));
+    u.mul(rows.at(level.factor, level.coords[g]));
+  }
+}
+
+/// The n segments of the window starting at segment w, in walk order
+/// (BcsfTensor::walk_order), added to acc in segment order; register
+/// tiles only.  Paired entries run in one loop.  A window in place
+/// (kKeep false) runs in fiber order and adds each segment's row as it
+/// is done; otherwise each row is kept under its window-local number,
+/// and the kept rows are added once the window is done.
+template <bool kKeep, typename Rows>
+inline void walk_window(const BcsfArrays& a, std::span<const RowSource> levels,
+                        const Rows& rows, offset_t w, offset_t n,
+                        typename Rows::Row& acc) {
+  using Row = typename Rows::Row;
+  const std::uint16_t* order = a.order + w;
+  // In place, entry i names segment i: no load on the path to the
+  // segment's nonzeros.
+  const auto segment_at = [&](offset_t i) -> offset_t {
+    return kKeep ? order[i] & BcsfTensor::kOrderIndex : i;
+  };
+  // On the walk's stack (at most 32 KiB, at rank 16): with the kept rows
+  // in a per-call heap scratch, whose float stores the compiler must
+  // assume alias the factor rows the walk loads, the short-fiber tenant's
+  // rank-8 walk ran ~1.5x slower at one thread.
+  Row kept[BcsfTensor::kOrderWindow];
+  const auto done = [&](offset_t k, const Row& t) {
+    if constexpr (kKeep) {
+      kept[k] = t;
+    } else {
+      acc += t;
+    }
+  };
+  for (offset_t i = 0; i < n;) {
+    const offset_t k = segment_at(i);
+    Row t;
+    if (Rows::kPairs && (order[i] & BcsfTensor::kOrderPair) != 0) {
+      const offset_t k2 = segment_at(i + 1);
+      Row u;
+      segment_rows(a, levels, rows, w + k, w + k2, t, u);
+      done(k, t);
+      done(k2, u);
+      i += 2;
+    } else {
+      segment_row(a, levels, rows, w + k, t);
+      done(k, t);
+      ++i;
+    }
+  }
+  if constexpr (kKeep) {
+    for (offset_t k = 0; k < n; ++k) acc += kept[k];
+  }
+}
 
 // The walks below run inside the engine's OpenMP region and stay out of
 // line: at -O3 GCC otherwise inlines the scratch-row B-CSF walk into the
@@ -294,7 +397,9 @@ struct BcsfArrays {
 /// segments).  Each block opens its output row once, adds each fiber
 /// segment's row to it in fiber order (or, under kPerSliceShared, adds
 /// their sum once at the block's end) and closes it once; the next
-/// slc-split block of the slice opens what this one closed.
+/// slc-split block of the slice opens what this one closed.  Tiles run
+/// the segments window by window in walk order (walk_window), scratch
+/// rows in fiber order; neither moves a float statement of any lane.
 template <typename Rows>
 [[gnu::noinline]] void bcsf_walk(const BcsfArrays& a, const Rows& rows,
                                  OutputCombine combine, offset_t begin,
@@ -307,15 +412,30 @@ template <typename Rows>
     value_t* y = rows.at(out, a.slices[block.slice]);
     typename Rows::Row acc = shared ? rows.row(0) : rows.open(y);
     if (shared) acc.zero();
-    for (offset_t fb = block.fiber_begin; fb < block.fiber_end; ++fb) {
-      t.zero();
-      for (offset_t z = a.fiber_ptr[fb]; z < a.fiber_ptr[fb + 1]; ++z) {
-        t.add_scaled(a.values[z], rows.at(a.leaf, a.leaf_index[z]));
+    if constexpr (Rows::kWalkOrder) {
+      for (offset_t w = block.fiber_begin; w < block.fiber_end;
+           w += BcsfTensor::kOrderWindow) {
+        const offset_t n =
+            std::min(BcsfTensor::kOrderWindow, block.fiber_end - w);
+        if ((a.order[w] & BcsfTensor::kOrderInPlace) != 0) {
+          walk_window<false>(a, levels, rows, w, n, acc);
+        } else {
+          walk_window<true>(a, levels, rows, w, n, acc);
+        }
       }
-      for (const RowSource& level : levels) {
-        t.mul(rows.at(level.factor, level.coords[fb]));
+    } else {
+      // Written out, not through segment_row: through it GCC 12 compiled
+      // this walk (rank-32 cpd-enron and serve-updates) to other code.
+      for (offset_t fb = block.fiber_begin; fb < block.fiber_end; ++fb) {
+        t.zero();
+        for (offset_t z = a.fiber_ptr[fb]; z < a.fiber_ptr[fb + 1]; ++z) {
+          t.add_scaled(a.values[z], rows.at(a.leaf, a.leaf_index[z]));
+        }
+        for (const RowSource& level : levels) {
+          t.mul(rows.at(level.factor, level.coords[fb]));
+        }
+        acc += t;
       }
-      acc += t;
     }
     if (shared) {
       acc.add_to(y);

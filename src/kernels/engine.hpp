@@ -25,6 +25,16 @@
 // as the warp lane of the simulated schedule, so the two agree bit for
 // bit (DESIGN.md §1).
 //
+// B-CSF walk order: on tiles, a block's fiber segments run in the
+// B-CSF's walk order (BcsfTensor::walk_order), by nonzero count, so a
+// run of equal-length segments repeats one loop trip count and, up to
+// rank 8, goes two segments at a time.  Each segment's row is kept on
+// the walk's stack and the kept rows are added to the block's row in
+// segment order afterwards, so every output still sees the same
+// additions in the same order; windows already in (or near) length
+// order run in place, keeping nothing.  Scratch rows run the segments in
+// fiber order.
+//
 // Threading: the B-CSF, CSL, HB-CSF and slice-order COO engines cut
 // their work units into nnz-weighted ranges that each own their output
 // rows (engine_ranges below) and share them out in ONE OpenMP region of
@@ -101,7 +111,8 @@ std::vector<EngineRange> engine_ranges(const CooSliceOrder& order, int team);
 // may be the root mode's own factor matrix: MTTKRP_n never reads A_n, and
 // the factors are validated before `out` is touched.
 
-/// B-CSF blocks, fiber segments in order within each block.
+/// B-CSF blocks, each block's fiber segments added to its row in fiber
+/// order (computed in walk order on tiles).
 void bcsf_engine(const BcsfTensor& bcsf, const std::vector<DenseMatrix>& factors,
                  DenseMatrix& out,
                  OutputCombine combine = OutputCombine::kPerFiber);

@@ -5,7 +5,9 @@
 //  * the scalar loops: every engine key's output is bit for bit what its
 //    format's work-unit walk, run one output entry (lane r) at a time,
 //    produces -- at ranks 1-5, 7, 8, 12, 15, 16, 17 and 32, every mode,
-//    both B-CSF output combines -- and column r of a rank-R output is
+//    both B-CSF output combines, B-CSF walks that run every window in
+//    place and an unsplit slice cut into several walk-order windows --
+//    and column r of a rank-R output is
 //    the rank-1 run on column r of every factor, so neither row policy of
 //    the engine's walks (register tiles up to rank 16, scratch rows
 //    above) reorders a float statement of any lane;
@@ -591,6 +593,107 @@ INSTANTIATE_TEST_SUITE_P(
       return cases()[std::get<0>(info.param)].name + "_r" +
              std::to_string(std::get<1>(info.param));
     });
+
+/// Mode-0 fibers that all hold one count per slice (1-4 nonzeros by
+/// slice), so every walk-order window of a mode-0 B-CSF is already in
+/// length order and the walk runs it in place.
+SparseTensor one_length_tensor() {
+  std::mt19937 rng(78);
+  std::uniform_real_distribution<float> value(0.5F, 1.5F);
+  SparseTensor x({48, 40, 30});
+  for (index_t i = 0; i < 48; ++i) {
+    const index_t len = 1 + i % 4;
+    for (index_t j = (i % 3); j < 40; j += 1 + i % 3) {
+      for (index_t k = 0; k < len; ++k) {
+        const index_t coords[] = {i, j, (j + 7 * k) % 30};
+        x.push_back(coords, value(rng));
+      }
+    }
+  }
+  return x;
+}
+
+/// Slice 0 holds 1200 fibers of 1-6 nonzeros: an unsplit B-CSF walks it
+/// in three windows.
+SparseTensor wide_slice_tensor() {
+  std::mt19937 rng(79);
+  std::uniform_real_distribution<float> value(0.5F, 1.5F);
+  SparseTensor x({3, 1200, 16});
+  for (index_t j = 0; j < 1200; ++j) {
+    for (index_t k = 0; k < 1 + (5 * j + j / 7) % 6; ++k) {
+      const index_t coords[] = {0, j, (j + 3 * k) % 16};
+      x.push_back(coords, value(rng));
+    }
+  }
+  for (index_t j = 0; j < 20; ++j) {
+    const index_t coords[] = {2, 9 * j, j % 16};
+    x.push_back(coords, value(rng));
+  }
+  return x;
+}
+
+/// bcsf_engine(bcsf) against bcsf_oracle under both output combines.
+void expect_bcsf_oracle(const BcsfTensor& bcsf,
+                        const std::vector<DenseMatrix>& factors,
+                        index_t rows) {
+  for (const OutputCombine combine :
+       {OutputCombine::kPerFiber, OutputCombine::kPerSliceShared}) {
+    SCOPED_TRACE("combine " + std::to_string(static_cast<int>(combine)));
+    DenseMatrix want(rows, factors.front().cols());
+    bcsf_oracle(bcsf, factors, combine, want);
+    DenseMatrix got;
+    bcsf_engine(bcsf, factors, got, combine);
+    EXPECT_TRUE(bitwise_equal(want, got));
+  }
+}
+
+/// Whether every walk-order window of `bcsf` runs in place.
+bool every_window_in_place(const BcsfTensor& bcsf) {
+  for (const BcsfTensor::Block& b : bcsf.blocks()) {
+    for (offset_t w = b.fiber_begin; w < b.fiber_end;
+         w += BcsfTensor::kOrderWindow) {
+      if ((bcsf.walk_order()[w] & BcsfTensor::kOrderInPlace) == 0) return false;
+    }
+  }
+  return true;
+}
+
+class BcsfWalkOrderTest : public ::testing::TestWithParam<rank_t> {};
+
+TEST_P(BcsfWalkOrderTest, InPlaceWindowsMatchTheScalarLoops) {
+  const rank_t rank = GetParam();
+  const SparseTensor x = one_length_tensor();
+  const auto factors = make_random_factors(x.dims(), rank, 907, -1.0F, 1.0F);
+  BcsfOptions small_blocks;  // slc-split blocks, atomic output rows
+  small_blocks.block_nnz_capacity = 24;
+  for (const BcsfOptions& opts :
+       {BcsfOptions{}, small_blocks, BcsfOptions::unsplit()}) {
+    SCOPED_TRACE("rank " + std::to_string(rank) + " capacity " +
+                 std::to_string(opts.block_nnz_capacity) + " split " +
+                 std::to_string(opts.slice_split));
+    const BcsfTensor bcsf = build_bcsf(x, 0, opts);
+    ASSERT_TRUE(every_window_in_place(bcsf));
+    expect_bcsf_oracle(bcsf, factors, x.dim(0));
+  }
+}
+
+TEST_P(BcsfWalkOrderTest, WideUnsplitSliceMatchesTheScalarLoops) {
+  const rank_t rank = GetParam();
+  const SparseTensor x = wide_slice_tensor();
+  const auto factors = make_random_factors(x.dims(), rank, 908, -1.0F, 1.0F);
+  const BcsfTensor bcsf = build_bcsf(x, 0, BcsfOptions::unsplit());
+  ASSERT_GT(bcsf.blocks().front().fiber_end, 2 * BcsfTensor::kOrderWindow);
+  // The first window is full and keeps all its rows.
+  ASSERT_EQ(bcsf.walk_order().front() & BcsfTensor::kOrderInPlace, 0);
+  SCOPED_TRACE("rank " + std::to_string(rank));
+  expect_bcsf_oracle(bcsf, factors, x.dim(0));
+}
+
+INSTANTIATE_TEST_SUITE_P(Ranks, BcsfWalkOrderTest,
+                         ::testing::ValuesIn(kOracleRanks),
+                         [](const ::testing::TestParamInfo<rank_t>& info) {
+                           return "r" + std::to_string(info.param);
+                         });
 
 /// Column `r` of `m` as a dims x 1 matrix.
 DenseMatrix column(const DenseMatrix& m, rank_t r) {
